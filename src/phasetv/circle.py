@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_INV_TWO_PI = 1.0 / TWO_PI
 
 # The three tap patterns with an analytically known proximal mapping.
 _ALLOWED_TAPS = {
@@ -61,12 +62,89 @@ MIXED_DIFF = DifferenceFilter((-1.0, 1.0, 1.0, -1.0), "mixed")
 FILTERS = (FIRST_DIFF, SECOND_DIFF, MIXED_DIFF)
 
 
-def _wrap_array(arr: np.ndarray) -> np.ndarray:
-    """Wrap without validation; for internal hot paths."""
-    w = np.mod(arr + np.pi, TWO_PI) - np.pi
-    # np.mod can land exactly on 2*pi for tiny negative arguments, which
-    # would leave w == pi; the canonical representant of that point is -pi.
-    return np.where(w >= np.pi, -np.pi, w)
+def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
+    """Wrap without validation; for internal hot paths.
+
+    Computes ``(s - 2*pi*floor(s / (2*pi))) - pi`` with ``s = t + pi``, in
+    ufuncs writing into ``out`` (which may be ``arr`` itself) and the
+    scratch array ``tmp``; either is allocated when not given.  These are
+    the roundings of ``np.mod(t + pi, 2*pi) - pi``: for |t| < 15*pi the
+    product 2*pi*k is exact and the difference is exact or rounded as
+    np.mod rounds it, so the result is bit-equal to the mod form, at a
+    fraction of its cost.  Non-finite input gives NaN.
+    """
+    arr = np.asarray(arr, dtype=float)
+    if out is None:
+        out = np.empty(arr.shape)
+    if tmp is None:
+        tmp = np.empty(arr.shape)
+    shifted = np.add(arr, np.pi, out=tmp)
+    k = np.multiply(shifted, _INV_TWO_PI, out=out)
+    np.floor(k, out=k)
+    np.multiply(k, TWO_PI, out=k)
+    w = np.subtract(shifted, k, out=out)
+    w -= np.pi
+    # The rounded quotient can pick the neighbouring k for an input within
+    # a few ulps of an odd multiple of pi, which leaves w a few ulps below
+    # -pi or at/above pi.  Both stray ends are the point -pi up to that
+    # rounding, so both are clamped to it; a one-sided clamp lets values
+    # just below -pi through.  Stray entries are rare, and a boolean
+    # assignment touches only them.
+    w[w < -np.pi] = -np.pi
+    w[w >= np.pi] = -np.pi
+    return w
+
+
+def _first_invalid_angle(x: np.ndarray, where=None):
+    """(row, col) of the first entry that is not an angle in [-pi, pi).
+
+    NaN and infinities fail both comparisons or one of them, so they count
+    as invalid.  Only entries where ``where`` is True are considered.
+    Returns None when every considered entry is valid.
+    """
+    bad = ~((x >= -np.pi) & (x < np.pi))
+    if where is not None:
+        bad &= where
+    if not bad.any():
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
+def check_phase_values(x, what: str, where=None, error=ValueError) -> None:
+    """Raise ``error`` unless ``x`` holds finite angles in [-pi, pi).
+
+    The message names ``what`` and the first bad pixel in row-major order.
+    ``where`` (boolean, the shape of ``x``) restricts the check to the
+    pixels where it is True.
+    """
+    x = np.asarray(x, dtype=float)
+    pixel = _first_invalid_angle(x, where)
+    if pixel is not None:
+        at = ", ".join(str(i) for i in pixel)
+        raise error(f"{what} value {float(x[pixel])!r} out of [-pi, pi) at pixel ({at})")
+
+
+def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:
+    """Wrapped inner product of patches with the taps of their filter.
+
+    ``cols`` holds one array per stencil position; the arity selects the
+    filter, since each supported filter has its own.  The taps are written
+    out in the summation order of ``(values * taps).sum(axis=-1)``:
+    ``v1 - v0``, ``v0 - 2*v1 + v2`` and ``v1 - v0 + v2 - v3``.  No BLAS
+    call is involved, so an entry does not depend on how many patches are
+    batched together.
+    """
+    if len(cols) == 2:
+        theta = np.subtract(cols[1], cols[0], out=out)
+    elif len(cols) == 3:
+        theta = np.multiply(cols[1], -2.0, out=out)
+        np.add(cols[0], theta, out=theta)
+        theta += cols[2]
+    else:
+        theta = np.subtract(cols[1], cols[0], out=out)
+        theta += cols[2]
+        theta -= cols[3]
+    return _wrap_array(theta, out=theta, tmp=tmp)
 
 
 def wrap(t):

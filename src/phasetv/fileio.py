@@ -14,7 +14,7 @@ import tempfile
 
 import numpy as np
 
-from .circle import TWO_PI
+from .circle import TWO_PI, _first_invalid_angle, check_phase_values
 
 _MAGIC = b"S1PHASE"
 _WS = b" \t\r\n"
@@ -37,21 +37,12 @@ def write_bytes_atomic(path, blob: bytes) -> None:
         raise
 
 
-def _check_phase_values(x: np.ndarray, what: str) -> None:
-    bad = ~(np.isfinite(x) & (x >= -np.pi) & (x < np.pi))
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise FormatError(
-            f"{what} value {x[r, c]!r} out of [-pi, pi) at pixel ({r}, {c})"
-        )
-
-
 def write_phase(path, x) -> None:
     """Write a phase image; values must already lie in [-pi, pi)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("expected a nonempty 2-D image")
-    _check_phase_values(x, "phase")
+    check_phase_values(x, "phase", error=FormatError)
     header = b"%s %d %d\n" % (_MAGIC, x.shape[0], x.shape[1])
     payload = np.ascontiguousarray(x, dtype="<f8").tobytes()
     write_bytes_atomic(path, header + payload)
@@ -79,12 +70,12 @@ def read_phase(path) -> np.ndarray:
             f" (payload starts at offset {end + 1})"
         )
     x = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-    bad = ~(np.isfinite(x) & (x >= -np.pi) & (x < np.pi))
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
+    pixel = _first_invalid_angle(x)
+    if pixel is not None:
+        r, c = pixel
         offset = end + 1 + 8 * (r * cols + c)
         raise FormatError(
-            f"phase value {x[r, c]!r} out of [-pi, pi) at pixel ({r}, {c})"
+            f"phase value {float(x[r, c])!r} out of [-pi, pi) at pixel ({r}, {c})"
             f" (offset {offset})"
         )
     return x
@@ -160,7 +151,7 @@ def render_gray(x) -> bytes:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("expected a nonempty 2-D image")
-    _check_phase_values(x, "phase")
+    check_phase_values(x, "phase", error=FormatError)
     levels = np.floor((x + np.pi) / TWO_PI * 256.0)
     levels = np.clip(levels, 0, 255).astype(np.uint8)
     return b"P5\n%d %d\n255\n" % (x.shape[1], x.shape[0]) + levels.tobytes()
@@ -171,7 +162,7 @@ def render_hue(x) -> bytes:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("expected a nonempty 2-D image")
-    _check_phase_values(x, "phase")
+    check_phase_values(x, "phase", error=FormatError)
     h = (x + np.pi) / TWO_PI * 6.0
     sextant = np.minimum(np.floor(h), 5.0)
     frac = h - sextant

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import wrap
+from .circle import check_phase_values, wrap
 from .model import Weights, _check_mask
 
 # (offsets, kind) per difference type, in fill preference order; offsets
@@ -111,11 +111,17 @@ def _try_fill(r, c, kinds, x, filled, n_rows, n_cols):
 
 def initialize(f, mask, weights: Weights) -> np.ndarray:
     """Return an image equal to ``f`` on known pixels with the unknown
-    region filled by zero-difference propagation."""
+    region filled by zero-difference propagation.
+
+    ``f`` must hold angles in [-pi, pi) on the known pixels; otherwise a
+    ``ValueError`` names the first bad pixel.  Its unknown pixels are not
+    read.
+    """
     f = np.asarray(f, dtype=float)
     if f.ndim != 2:
         raise ValueError("expected a 2-D image")
     known = _check_mask(f.shape, mask)
+    check_phase_values(f, "f", where=known)
     n_rows, n_cols = f.shape
 
     x = np.where(known, f, 0.0)

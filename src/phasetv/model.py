@@ -28,8 +28,8 @@ from .circle import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
+    _theta_columns,
     _wrap_array,
-    dist,
 )
 
 MODEL_KINDS = ("noiseless", "noisy")
@@ -172,18 +172,40 @@ def enumerate_stencils(shape, mask, weights: Weights, model_kind: str) -> list[S
     return groups
 
 
+def flat_columns(pixels: np.ndarray, n_cols: int) -> list[np.ndarray]:
+    """Flat indices of (n, arity, 2) stencil coordinates, one contiguous
+    ``intp`` array per stencil position."""
+    return [
+        pixels[:, j, 0].astype(np.intp) * n_cols + pixels[:, j, 1]
+        for j in range(pixels.shape[1])
+    ]
+
+
+def stencil_energy(vals, filt: DifferenceFilter | None, weight: float, ref=None,
+                   theta_buf=None, tmp_buf=None) -> float:
+    """Energy of one group from its gathered values.
+
+    ``vals`` holds one array per stencil position.  For a difference group
+    this is ``weight * sum |wrap(<v, taps>)|``; for the data term
+    (``filt`` None) it is ``sum dist(ref, v)^2`` over its single column.
+    The optional buffers have the column length.  Non-finite values give
+    NaN.
+    """
+    with np.errstate(invalid="ignore"):
+        if filt is None:
+            d = np.subtract(vals[0], ref, out=theta_buf)
+            d = np.abs(_wrap_array(d, out=d, tmp=tmp_buf), out=d)
+            return float(np.sum(np.square(d, out=d)))
+        theta = _theta_columns(vals, out=theta_buf, tmp=tmp_buf)
+        return weight * float(np.sum(np.abs(theta, out=theta)))
+
+
 def group_energy(x: np.ndarray, f: np.ndarray, group: SubFunctional) -> float:
     """Energy contribution of one SubFunctional at the image ``x``."""
-    pix = group.pixels
-    if group.is_data_term:
-        vals = x[pix[:, 0, 0], pix[:, 0, 1]]
-        ref = f[pix[:, 0, 0], pix[:, 0, 1]]
-        return float(np.sum(dist(ref, vals) ** 2))
-    if len(group) == 0:
-        return 0.0
-    vals = x[pix[:, :, 0], pix[:, :, 1]]
-    theta = _wrap_array(vals @ group.filt.tap_array())
-    return group.weight * float(np.sum(np.abs(theta)))
+    cols = flat_columns(group.pixels, x.shape[1])
+    vals = [np.ravel(x).take(c) for c in cols]
+    ref = np.ravel(f).take(cols[0]) if group.is_data_term else None
+    return stencil_energy(vals, group.filt, group.weight, ref)
 
 
 def energy_from_groups(x: np.ndarray, f: np.ndarray, groups) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import TWO_PI, DifferenceFilter, _wrap_array, dist
+from .circle import TWO_PI, DifferenceFilter, _theta_columns, _wrap_array, dist
 
 # Width of the band around |theta| == pi treated as the antipodal
 # (two-valued) case.  Measure-zero in exact arithmetic.
@@ -32,35 +32,66 @@ class ProxDiffResult:
     secondary: np.ndarray | None = None
 
 
-def _signed_shrink(values: np.ndarray, lam: float, filt: DifferenceFilter):
-    """Shared kernel: theta, sign and clipped step for patch rows.
+def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
+    """theta and the signed step of the difference prox, per patch.
 
-    ``values`` has shape (n, arity).  Returns (theta, step) where
-    ``step = sign(theta) * min(lam, |theta| / |taps|^2)`` per row; the
-    shrunk patches are ``wrap(values - step[:, None] * taps)``.
+    ``cols`` holds the patches as one array per stencil position.  Returns
+    ``(theta, step)`` with ``theta = wrap(<v, taps>)`` and
+    ``step = copysign(min(lam, |theta| / |taps|^2), theta)``; the shrunk
+    patches are ``wrap(v - step * taps)``.  Invalid operations are
+    silenced; non-finite input gives a NaN theta and step.
     """
-    taps = filt.tap_array()
-    # Elementwise multiply and reduce instead of a BLAS matmul: the per-row
-    # result must not depend on how many rows are batched together.  Invalid
-    # operations are silenced; non-finite input surfaces as an error in the
-    # callers' finiteness checks.
     with np.errstate(invalid="ignore"):
-        theta = _wrap_array((values * taps).sum(axis=-1))
-    sign = np.where(theta >= 0.0, 1.0, -1.0)
-    step = sign * np.minimum(lam, np.abs(theta) / filt.norm_sq)
+        theta = _theta_columns(cols, out=theta_out, tmp=step_out)
+    step = np.abs(theta, out=step_out)
+    step /= filt.norm_sq
+    np.minimum(step, lam, out=step)
+    np.copysign(step, theta, out=step)
     return theta, step
 
 
-def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> np.ndarray:
-    """Apply the difference prox to every row of an (n, arity) array.
+def _apply_step(cols, step, filt: DifferenceFilter, tmp=None) -> None:
+    """Overwrite each column ``v_j`` with ``wrap(v_j - step * taps_j)``.
 
-    Always takes the primary branch in the (measure-zero) antipodal case,
-    which is what the sweep solver requires for determinism.
+    The taps are +-1 and -2, so ``v + step``, ``v - step`` and
+    ``v + 2*step`` are the exact values of ``v - step * tap``.  ``tmp`` is an
+    optional scratch array of the column length.
     """
-    theta, step = _signed_shrink(values, lam, filt)
-    if not np.all(np.isfinite(theta)):
+    for v, tap in zip(cols, filt.taps):
+        if tap == 1.0:
+            v -= step
+        elif tap == -1.0:
+            v += step
+        else:
+            v += np.multiply(step, -tap, out=tmp)
+        _wrap_array(v, out=v, tmp=tmp)
+
+
+def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, step_buf=None) -> None:
+    """Difference prox of every patch, in place on its columns.
+
+    ``cols`` is a list of float arrays, one per stencil position, each
+    holding that position's value for every patch; they are overwritten
+    with the prox output.  ``theta_buf`` and ``step_buf`` are optional
+    scratch arrays of the column length.  Raises ``ValueError`` before
+    writing anything if a patch holds a non-finite value.  Always takes the
+    primary branch in the (measure-zero) antipodal case, which is what the
+    sweep solver requires for determinism.
+    """
+    theta, step = _prox_step(cols, lam, filt, theta_buf, step_buf)
+    # A NaN step (from non-finite input) makes the sum NaN; finite steps
+    # are bounded by lam and cannot overflow it.
+    if not np.isfinite(np.sum(step)):
         raise ValueError("non-finite values in proximal input")
-    return _wrap_array(values - step[:, None] * filt.tap_array())
+    _apply_step(cols, step, filt, tmp=theta)
+
+
+def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> np.ndarray:
+    """Apply the difference prox to every row of an (n, arity) array."""
+    values = np.asarray(values, dtype=float)
+    cols = [values[:, j].copy() for j in range(filt.arity)]
+    shrink_columns(cols, lam, filt)
+    return np.stack(cols, axis=1)
 
 
 def prox_diff(f, lam: float, filt: DifferenceFilter) -> ProxDiffResult:
@@ -92,12 +123,14 @@ def prox_diff(f, lam: float, filt: DifferenceFilter) -> ProxDiffResult:
     if not np.all(np.isfinite(f)):
         raise ValueError("patch values must be finite")
 
-    theta, step = _signed_shrink(f[None, :], lam, filt)
-    taps = filt.tap_array()
-    primary = _wrap_array(f - step[0] * taps)
+    # Each patch entry becomes a column of length one.
+    theta, step = _prox_step(f[:, None], lam, filt)
+    primary = f.copy()
+    _apply_step(primary[:, None], step, filt)
     secondary = None
     if np.pi - abs(float(theta[0])) <= ANTIPODAL_TOL:
-        secondary = _wrap_array(f + step[0] * taps)
+        secondary = f.copy()
+        _apply_step(secondary[:, None], -step, filt)
     return ProxDiffResult(primary=primary, secondary=secondary)
 
 

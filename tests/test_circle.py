@@ -41,6 +41,35 @@ def test_wrap_rejects_non_finite():
             wrap(bad)
 
 
+def _mod_wrap(t):
+    """The np.mod wrap the library used before its floor-based wrap."""
+    w = np.mod(t + np.pi, TWO_PI) - np.pi
+    return np.where(w >= np.pi, -np.pi, w)
+
+
+def test_wrap_boundaries_stay_in_range_and_match_mod_form():
+    rng = np.random.default_rng(3)
+    odd = np.concatenate([
+        np.arange(-63, 64, 2) * np.pi,
+        np.arange(-318311, 318312, 2 * 1009) * np.pi,  # odd multiples up to ~1e6
+    ])
+    t = np.concatenate([
+        odd,
+        np.nextafter(odd, np.inf),
+        np.nextafter(odd, -np.inf),
+        [0.0, -0.0, 1e-300, -1e-300],
+        rng.uniform(-1e6, 1e6, 20000),
+        rng.uniform(-4 * np.pi, 4 * np.pi, 20000),
+    ])
+    w = wrap(t)
+    assert np.all(w >= -np.pi) and np.all(w < np.pi)
+    # Beyond |t| ~ 15*pi the product 2*pi*k rounds at the scale of t,
+    # where the mod form takes an exact remainder, so there the two forms
+    # agree only to a couple of ulps of t; below that the bound is 2e-15.
+    tol = np.maximum(2e-15, 2.0 * np.spacing(np.abs(t)))
+    assert np.all(np.abs(_mod_wrap(w - _mod_wrap(t))) <= tol)
+
+
 def test_dist_examples():
     assert dist(0.3, 0.3) == 0.0
     assert dist(-3.0, 3.0) == pytest.approx(TWO_PI - 6.0, abs=1e-15)

@@ -4,6 +4,7 @@ import pytest
 from phasetv import (
     FILTERS,
     FIRST_DIFF,
+    MIXED_DIFF,
     SECOND_DIFF,
     abs_cyclic_diff,
     dist,
@@ -14,6 +15,7 @@ from phasetv import (
     prox_diff_objective,
     wrap,
 )
+from phasetv.prox import shrink_columns
 
 
 def test_zero_difference_is_fixed_point():
@@ -113,6 +115,68 @@ def test_batch_matches_scalar_path():
         for row in range(vals.shape[0]):
             single = prox_diff(vals[row], lam, filt).primary
             assert np.array_equal(batch[row], single)
+
+
+def _mod_wrap(t):
+    w = np.mod(t + np.pi, 2.0 * np.pi) - np.pi
+    return np.where(w >= np.pi, -np.pi, w)
+
+
+def _reference_prox(values, lam, filt):
+    """The batched prox as first written: reduce, np.mod wrap, sign via where."""
+    taps = filt.tap_array()
+    theta = _mod_wrap((values * taps).sum(axis=-1))
+    sign = np.where(theta >= 0.0, 1.0, -1.0)
+    step = sign * np.minimum(lam, np.abs(theta) / filt.norm_sq)
+    return _mod_wrap(values - step[:, None] * taps)
+
+
+# One row per family with theta exactly -pi before the wrap, one with
+# theta = +pi (which wraps to -pi), and rows with theta = +0.0 and -0.0.
+_EDGE_ROWS = {
+    "first": [[np.pi / 2, -np.pi / 2], [-np.pi / 2, np.pi / 2], [0.3, 0.3], [0.0, -0.0]],
+    "second": [[-np.pi / 2, 0.0, -np.pi / 2], [np.pi / 2, 0.0, np.pi / 2],
+               [0.3, 0.3, 0.3], [0.0, -0.0, -0.0]],
+    "mixed": [[np.pi / 2, 0.0, -np.pi / 2, 0.0], [-np.pi / 2, 0.0, np.pi / 2, 0.0],
+              [0.3, 0.3, 0.3, 0.3], [0.0, -0.0, 0.0, 0.0]],
+}
+# Patches whose |theta| / |taps|^2 equals lam exactly (the clip edge).
+_CLIP_ROWS = {
+    "first": [0.0, 0.5],
+    "second": [0.0, 0.0, 0.5],
+    "mixed": [0.2, 0.9, 0.4, 0.1],
+}
+
+
+@pytest.mark.parametrize("filt", FILTERS, ids=lambda f: f.name)
+def test_column_kernel_matches_reference_formula(filt):
+    rng = np.random.default_rng(16)
+    cases = [
+        (rng.uniform(-np.pi, np.pi, (4000, filt.arity)), 0.37),
+        (rng.uniform(-np.pi, np.pi, (4000, filt.arity)), 5.0),
+        (np.array(_EDGE_ROWS[filt.name]), 0.25),
+    ]
+    clip = np.array([_CLIP_ROWS[filt.name]])
+    theta = float((clip * filt.tap_array()).sum(axis=-1)[0])
+    assert wrap(theta) == theta and _mod_wrap(theta) == theta
+    cases.append((clip, abs(theta) / filt.norm_sq))
+    for values, lam in cases:
+        cols = [values[:, j].copy() for j in range(filt.arity)]
+        shrink_columns(cols, lam, filt)
+        got = np.stack(cols, axis=1)
+        assert np.all((got >= -np.pi) & (got < np.pi))
+        assert np.all(np.abs(_mod_wrap(got - _reference_prox(values, lam, filt))) <= 4e-15)
+        assert np.array_equal(prox_diff_batch(values, lam, filt), got)
+
+
+def test_column_kernel_rejects_non_finite_before_writing():
+    cols = [np.array([0.1, np.nan]), np.array([0.2, 0.3])]
+    before = [c.copy() for c in cols]
+    with pytest.raises(ValueError):
+        shrink_columns(cols, 0.5, FIRST_DIFF)
+    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(cols, before))
+    with pytest.raises(ValueError):
+        prox_diff_batch(np.array([[0.0, 1.0, np.inf, 0.0]]), 0.5, MIXED_DIFF)
 
 
 def test_prox_data_examples():

@@ -162,3 +162,59 @@ def test_noisy_mode_moves_known_pixels():
     mse_before, _ = cyclic_error(np.where(known, f, x0), clean)
     mse_after, _ = cyclic_error(rep.image, clean)
     assert mse_after < mse_before
+
+
+@pytest.mark.parametrize("kind", ["noiseless", "noisy"])
+def test_recorded_energy_equals_public_energy(kind):
+    rng = np.random.default_rng(36)
+    f = rng.uniform(-np.pi, np.pi, (13, 11))
+    known = rng.random((13, 11)) < 0.6
+    w = Weights(alpha=(1, 0.5, 1, 0.25), beta=(1, 2), gamma=0.75)
+    x0 = initialize(f, known, w)
+    rep = run_cppa(x0, f, known, w, kind, SolverConfig(max_sweeps=7, record_energy_every=3))
+    assert rep.energy_trace[0][1] == energy(x0, f, known, w, kind)
+    assert rep.energy_trace[-1][1] == energy(rep.image, f, known, w, kind)
+
+
+def test_out_of_range_data_rejected_naming_the_pixel():
+    img = gen_wrapped_ramp((12, 12), 0.4, "horizontal")
+    known = np.zeros((12, 12), bool)
+    known[::3, ::3] = True
+    w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    f = np.where(known, img, 0.0)
+    x0 = initialize(f, known, w)
+    scaled = 10.0 * f
+    first_bad = tuple(int(i) for i in np.argwhere(known & (np.abs(scaled) >= np.pi))[0])
+    with pytest.raises(ValueError, match=r"^f value .* at pixel \(%d, %d\)" % first_bad):
+        run_cppa(10.0 * x0, scaled, known, w, "noiseless", SolverConfig(max_sweeps=1))
+    with pytest.raises(ValueError, match=r"^f value"):
+        initialize(scaled, known, w)
+
+
+def test_nan_data_reported_as_bad_f():
+    f = np.zeros((4, 4))
+    known = np.ones((4, 4), bool)
+    known[1, 1] = False
+    f[2, 3] = np.nan
+    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
+    for kind in ("noiseless", "noisy"):
+        with pytest.raises(ValueError, match=r"^f value nan .* at pixel \(2, 3\)"):
+            run_cppa(f, f, known, w, kind, SolverConfig(max_sweeps=1))
+    with pytest.raises(ValueError, match=r"^f value nan .* at pixel \(2, 3\)"):
+        initialize(f, known, w)
+
+
+def test_x0_out_of_range_rejected_and_unknown_data_ignored():
+    f = np.zeros((3, 3))
+    known = np.ones((3, 3), bool)
+    known[1, 1] = False
+    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
+    x0 = f.copy()
+    x0[1, 1] = 4.0
+    with pytest.raises(ValueError, match=r"^x0 value 4\.0 .* at pixel \(1, 1\)"):
+        run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=1))
+    # f is never read on unknown pixels, so any value there is accepted.
+    f[1, 1] = np.nan
+    x0 = initialize(f, known, w)
+    rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=2))
+    assert np.all(np.isfinite(rep.image))
