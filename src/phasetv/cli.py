@@ -8,7 +8,7 @@ import sys
 import numpy as np
 
 from . import fileio, synth
-from .initialization import initialize
+from .initialization import _propagate
 from .model import Weights
 from .solver import NumericalError, SolverConfig, run_cppa
 
@@ -84,10 +84,17 @@ def cmd_mask(args) -> int:
     return 0
 
 
+def _initialize(f, known, weights):
+    x0, rounds, filled, unreachable = _propagate(f, known, weights)
+    print(f"init: rounds={rounds} filled={filled} unreachable={unreachable}",
+          file=sys.stderr)
+    return x0
+
+
 def cmd_init(args) -> int:
     _print_config(args)
     f, known = _load_pair(args)
-    fileio.write_phase(args.output, initialize(f, known, _weights(args)))
+    fileio.write_phase(args.output, _initialize(f, known, _weights(args)))
     return 0
 
 
@@ -95,7 +102,7 @@ def cmd_inpaint(args) -> int:
     _print_config(args)
     f, known = _load_pair(args)
     weights = _weights(args)
-    x0 = initialize(f, known, weights)
+    x0 = _initialize(f, known, weights)
     config = SolverConfig(
         lambda0=args.lambda0,
         max_sweeps=args.sweeps,

@@ -7,106 +7,134 @@ extrapolate linear trends (the natural companion of the second-order
 regularizer), so they are preferred over the mixed difference, which is
 preferred over plain first-order copying.
 
-The scan runs raster sweeps over the still-unfilled pixels, alternating
-forward and backward, until a sweep makes no progress.  Within one sweep
-every fill is computed against the state at sweep start, so a band or
-disc grows inward one layer per sweep from all of its boundaries instead
-of cascading across from whichever side the scan happens to reach first;
-the nearest data wins, which keeps the start of the solver close to the
-data on every side.  Pixels that no active stencil can reach (an unknown
-component with no known contact) are left at 0.
+The fill runs in rounds over the set of pending (not yet filled) pixels.
+A round tests each pending pixel against a priority chain of (kind,
+position) pairs: the kinds in the preference order above, and within a
+kind the pixel's position in the stencil from the last down to the first,
+so the placement whose leading pixel lies up or left is tried first.  The
+first pair whose other pixels are all in the image and already filled
+gives the value.  Tests and values read the state from the start of the
+round and the fills are written when it ends, so a band or disc grows
+inward one layer per round from all of its boundaries, the nearest data
+wins, and the order in which pixels are visited cannot matter.  Rounds
+stop when one fills nothing.  Pixels that no active stencil can reach (an
+unknown component with no known contact) are left at 0 and counted as
+unreachable.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circle import check_phase_values, wrap
+from .circle import _wrap_array, check_phase_values
 from .model import Weights, _check_mask
 
-# (offsets, kind) per difference type, in fill preference order; offsets
-# are (row, col) displacements from the leading pixel.
-_H2 = ((0, 0), (0, 1), (0, 2))
-_V2 = ((0, 0), (1, 0), (2, 0))
-_MIX = ((0, 0), (1, 0), (0, 1), (1, 1))
-_H1 = ((0, 0), (0, 1))
-_V1 = ((0, 0), (1, 0))
-_D1 = ((0, 0), (1, 1))
-_A1 = ((0, 1), (1, 0))
+# Border of the filled mask: the largest offset, so that every placement of
+# a stencil over an image pixel stays inside it, and one that leaves the
+# image fails the test.
+_PAD = 2
 
 
-def _fill_first(values, t):
-    return values[1 - t]
+# The fills take ``v``, the values at the stencil positions (None at the
+# position ``t`` being filled), as arrays over the pixels being filled.
+def _fill_first(v, t):
+    return v[1 - t]
 
 
-def _fill_second(values, t):
+def _fill_second(v, t):
     if t == 0:
-        return wrap(2.0 * values[1] - values[2])
+        return _wrap_array(2.0 * v[1] - v[2])
     if t == 2:
-        return wrap(2.0 * values[1] - values[0])
-    # Center pixel: two zero-difference solutions half a turn apart;
-    # take the one closer to the left/top neighbor, first on a tie.
-    cand = wrap(0.5 * (values[0] + values[2]))
-    alt = wrap(cand + np.pi)
-    if abs(wrap(cand - values[0])) <= abs(wrap(alt - values[0])):
-        return cand
-    return alt
+        return _wrap_array(2.0 * v[1] - v[0])
+    # Middle pixel: two zero-difference solutions half a turn apart; take
+    # the one closer to the left/top neighbor, the first on a tie.
+    cand = _wrap_array(0.5 * (v[0] + v[2]))
+    alt = _wrap_array(cand + np.pi)
+    near = np.abs(_wrap_array(cand - v[0])) <= np.abs(_wrap_array(alt - v[0]))
+    return np.where(near, cand, alt)
 
 
-def _fill_mixed(values, t):
-    v = values
+def _fill_mixed(v, t):
     if t == 0:
-        return wrap(v[1] + v[2] - v[3])
+        return _wrap_array(v[1] + v[2] - v[3])
     if t == 1:
-        return wrap(v[0] - v[2] + v[3])
+        return _wrap_array(v[0] - v[2] + v[3])
     if t == 2:
-        return wrap(v[0] - v[1] + v[3])
-    return wrap(v[1] + v[2] - v[0])
+        return _wrap_array(v[0] - v[1] + v[3])
+    return _wrap_array(v[1] + v[2] - v[0])
 
 
-def _active_kinds(weights: Weights, n_rows: int, n_cols: int):
+def _active_kinds(weights: Weights):
     a1, a2, a3, a4 = weights.alpha
     b1, b2 = weights.beta
+    # (offsets as (row, col) displacements from the leading pixel, fill,
+    # weight), in fill preference order.
     table = (
-        (_H2, _fill_second, b1, 1, 3),
-        (_V2, _fill_second, b2, 3, 1),
-        (_MIX, _fill_mixed, weights.gamma, 2, 2),
-        (_H1, _fill_first, a1, 1, 2),
-        (_V1, _fill_first, a2, 2, 1),
-        (_D1, _fill_first, a3, 2, 2),
-        (_A1, _fill_first, a4, 2, 2),
+        (((0, 0), (0, 1), (0, 2)), _fill_second, b1),
+        (((0, 0), (1, 0), (2, 0)), _fill_second, b2),
+        (((0, 0), (1, 0), (0, 1), (1, 1)), _fill_mixed, weights.gamma),
+        (((0, 0), (0, 1)), _fill_first, a1),
+        (((0, 0), (1, 0)), _fill_first, a2),
+        (((0, 0), (1, 1)), _fill_first, a3),
+        (((0, 1), (1, 0)), _fill_first, a4),
     )
-    kinds = []
-    for offsets, solve, weight, need_rows, need_cols in table:
-        if weight > 0.0 and n_rows >= need_rows and n_cols >= need_cols:
-            kinds.append((offsets, solve))
-    return kinds
+    return [(offsets, fill) for offsets, fill, weight in table if weight > 0.0]
 
 
-def _try_fill(r, c, kinds, x, filled, n_rows, n_cols):
-    for offsets, solve in kinds:
-        # Positions of (r, c) within the stencil, leading placement
-        # leftmost/topmost first so trends propagate along the sweep.
-        for t in range(len(offsets) - 1, -1, -1):
-            r0 = r - offsets[t][0]
-            c0 = c - offsets[t][1]
-            values = []
-            ok = True
-            for u, (dr, dc) in enumerate(offsets):
-                ru, cu = r0 + dr, c0 + dc
-                if not (0 <= ru < n_rows and 0 <= cu < n_cols):
-                    ok = False
-                    break
-                if u != t:
-                    if not filled[ru, cu]:
-                        ok = False
-                        break
-                    values.append(x[ru, cu])
-                else:
-                    values.append(None)
-            if ok:
-                return solve(values, t)
-    return None
+def _propagate(f, known, weights: Weights):
+    """``initialize``, plus what it did: returns ``(x, rounds, filled,
+    unreachable)``, the rounds that filled something, the pixels filled
+    and the unknown pixels left at 0."""
+    f = np.asarray(f, dtype=float)
+    if f.ndim != 2:
+        raise ValueError("expected a 2-D image")
+    known = _check_mask(f.shape, known)
+    check_phase_values(f, "f", where=known)
+    n_rows, n_cols = f.shape
+
+    # Pixels are addressed by flat index into x and into the filled mask,
+    # which has a border of _PAD never-filled pixels.
+    width = n_cols + 2 * _PAD
+    filled = np.zeros((n_rows + 2 * _PAD, width), dtype=bool)
+    filled[_PAD:_PAD + n_rows, _PAD:_PAD + n_cols] = known
+    filled_flat = filled.ravel()
+    x = np.where(known, f, 0.0)
+    x_flat = x.ravel()
+    chain = [
+        ([dr * width + dc for dr, dc in offsets], [dr * n_cols + dc for dr, dc in offsets], fill)
+        for offsets, fill in _active_kinds(weights)
+    ]
+    rows, cols = np.nonzero(~known)
+    pending = (rows + _PAD) * width + (cols + _PAD)
+    pending_x = rows * n_cols + cols
+
+    rounds = 0
+    while pending.size:
+        todo = np.arange(pending.size)  # entries of pending no pair has filled
+        hits, values = [], []
+        for deltas, deltas_x, fill in chain:
+            for t in range(len(deltas) - 1, -1, -1):
+                lead = pending[todo] - deltas[t]
+                ok = np.ones(todo.size, dtype=bool)
+                for u, d in enumerate(deltas):
+                    if u != t:
+                        ok &= filled_flat[lead + d]
+                if not ok.any():
+                    continue
+                lead = pending_x[todo[ok]] - deltas_x[t]
+                v = [None if u == t else x_flat[lead + d] for u, d in enumerate(deltas_x)]
+                hits.append(todo[ok])
+                values.append(fill(v, t))
+                todo = todo[~ok]
+        if not hits:
+            break
+        done = np.concatenate(hits)
+        x_flat[pending_x[done]] = np.concatenate(values)
+        filled_flat[pending[done]] = True
+        pending, pending_x = pending[todo], pending_x[todo]
+        rounds += 1
+    unreachable = int(pending.size)
+    return x, rounds, int(rows.size) - unreachable, unreachable
 
 
 def initialize(f, mask, weights: Weights) -> np.ndarray:
@@ -117,35 +145,4 @@ def initialize(f, mask, weights: Weights) -> np.ndarray:
     ``ValueError`` names the first bad pixel.  Its unknown pixels are not
     read.
     """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2:
-        raise ValueError("expected a 2-D image")
-    known = _check_mask(f.shape, mask)
-    check_phase_values(f, "f", where=known)
-    n_rows, n_cols = f.shape
-
-    x = np.where(known, f, 0.0)
-    filled = known.copy()
-    kinds = _active_kinds(weights, n_rows, n_cols)
-    pending = [(int(r), int(c)) for r, c in zip(*np.nonzero(~known))]
-
-    forward = True
-    while pending:
-        remaining = []
-        fills = []
-        scan = pending if forward else reversed(pending)
-        for r, c in scan:
-            value = _try_fill(r, c, kinds, x, filled, n_rows, n_cols)
-            if value is None:
-                remaining.append((r, c))
-            else:
-                fills.append((r, c, value))
-        if not fills:
-            break
-        for r, c, value in fills:
-            x[r, c] = value
-            filled[r, c] = True
-        remaining.sort()
-        pending = remaining
-        forward = not forward
-    return x
+    return _propagate(f, mask, weights)[0]

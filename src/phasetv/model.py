@@ -30,6 +30,7 @@ from .circle import (
     DifferenceFilter,
     _theta_columns,
     _wrap_array,
+    check_phase_values,
 )
 
 MODEL_KINDS = ("noiseless", "noisy")
@@ -215,9 +216,11 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups) -> float:
 def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     """Evaluate the model energy at ``x`` given data ``f``.
 
-    In noiseless mode ``x`` must carry the data values on the known
-    pixels exactly; that constraint is part of the model, not a soft
-    term, and a violation raises ``ValueError``.
+    ``x`` must hold angles in [-pi, pi) on every pixel and ``f`` on the
+    known pixels; otherwise a ``ValueError`` names the argument and the
+    first bad pixel.  In noiseless mode ``x`` must carry the data values
+    on the known pixels exactly; that constraint is part of the model,
+    not a soft term, and a violation raises ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -226,6 +229,8 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     known = _check_mask(x.shape, mask)
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+    check_phase_values(x, "x")
+    check_phase_values(f, "f", where=known)
     if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
         raise ValueError("noiseless model requires x = f on known pixels")
     groups = enumerate_stencils(x.shape, known, weights, model_kind)

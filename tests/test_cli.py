@@ -135,3 +135,23 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert "inpaint" in proc.stdout
+
+
+def test_init_and_inpaint_report_initializer_counts(tmp_path, capsys):
+    f = tmp_path / "f.phase"
+    m = tmp_path / "m.pgm"
+    assert main(["synth", "ramp", "--rows", "8", "--cols", "32",
+                 "--slope", "0.3", "-o", str(f)]) == 0
+    assert main(["mask", "band", "--rows", "8", "--cols", "32",
+                 "--start", "10", "--width", "8", "-o", str(m)]) == 0
+    capsys.readouterr()
+    # The 8 unknown columns fill from both sides, one column per side and
+    # round.
+    want = "init: rounds=4 filled=64 unreachable=0\n"
+    assert main(["init", "-i", str(f), "-m", str(m), "-o", str(tmp_path / "x0.phase"),
+                 "--alpha", "0,0,0,0", "--beta", "1,1", "--gamma", "0"]) == 0
+    assert want in capsys.readouterr().err
+    assert main(["inpaint", "-i", str(f), "-m", str(m), "-o", str(tmp_path / "x.phase"),
+                 "--alpha", "0,0,0,0", "--beta", "1,1", "--gamma", "0",
+                 "--sweeps", "2"]) == 0
+    assert want in capsys.readouterr().err

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from phasetv import SECOND_DIFF, Weights, abs_cyclic_diff, dist, initialize, wrap
+from phasetv.initialization import _propagate
+
+from init_oracle import oracle_initialize
 
 W_SECOND = Weights(alpha=(0, 0, 0, 0), beta=(1, 1), gamma=0.0)
 W_FIRST = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
@@ -124,3 +127,46 @@ def test_shape_validation():
         initialize(np.zeros((3, 3)), np.ones((2, 2), bool), W_FIRST)
     with pytest.raises(ValueError):
         initialize(np.zeros(5), np.ones(5, bool), W_FIRST)
+
+
+def test_matches_scalar_oracle_bitwise():
+    # Every mix of zero and non-zero weights, on row, column and block
+    # shapes up to 20x20 with known fractions from 0 (all unknown) to 0.9.
+    # Half the images hold multiples of pi/4, which hit the tie of the
+    # middle-pixel fill and the wrap at -pi.
+    rng = np.random.default_rng(23)
+    shapes = [(1, 1), (1, 20), (20, 1), (2, 2), (3, 7), (20, 20)]
+    for subset in range(1, 2**7):
+        on = np.array([(subset >> k) & 1 for k in range(7)], dtype=bool)
+        vals = np.where(on, rng.uniform(0.1, 2.0, 7), 0.0)
+        w = Weights(alpha=vals[:4], beta=vals[4:6], gamma=vals[6])
+        for _ in range(4):
+            if rng.random() < 0.5:
+                shape = shapes[rng.integers(len(shapes))]
+            else:
+                shape = tuple(int(n) for n in rng.integers(1, 21, 2))
+            if rng.random() < 0.5:
+                f = rng.uniform(-np.pi, np.pi, shape)
+            else:
+                f = rng.integers(-4, 4, shape) * (np.pi / 4)
+            known = rng.random(shape) < rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
+            got, *counts = _propagate(f, known, w)
+            want, *want_counts = oracle_initialize(f, known, w)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert counts == want_counts
+
+
+def test_counts_all_unknown_unreachable():
+    _, rounds, filled, unreachable = _propagate(
+        np.zeros((4, 4)), np.zeros((4, 4), bool), W_SECOND
+    )
+    assert (rounds, filled, unreachable) == (0, 0, 16)
+
+
+def test_counts_band_rounds():
+    # Columns 2..4 of a 1x7 row fill from both sides: 2 and 4 in the first
+    # round, 3 in the second.
+    known = np.ones((1, 7), bool)
+    known[0, 2:5] = False
+    _, rounds, filled, unreachable = _propagate(np.zeros((1, 7)), known, W_FIRST)
+    assert (rounds, filled, unreachable) == (2, 3, 0)

@@ -190,3 +190,24 @@ def test_energy_ignores_untouched_pixels():
     f2[0, 3] = -2.0
     e2 = energy(f2, f2, known, w, "noiseless")
     assert e1 == pytest.approx(e2, abs=1e-15)
+
+
+def test_energy_rejects_non_angles():
+    known = np.zeros((4, 4), dtype=bool)
+    known[0, 0] = True
+    f = np.zeros((4, 4))
+    for bad in (np.nan, 50.0, np.pi, -np.inf):
+        x = f.copy()
+        x[2, 3] = bad
+        with pytest.raises(ValueError, match=r"x value .* at pixel \(2, 3\)"):
+            energy(x, f, known, ALL_ON, "noiseless")
+        with pytest.raises(ValueError, match=r"x value .* at pixel \(2, 3\)"):
+            energy(x, f, known, ALL_ON, "noisy")
+        g = f.copy()
+        g[0, 0] = bad
+        with pytest.raises(ValueError, match=r"f value .* at pixel \(0, 0\)"):
+            energy(f, g, known, ALL_ON, "noisy")
+        # f is not read on unknown pixels.
+        g = f.copy()
+        g[2, 3] = bad
+        assert energy(f, g, known, ALL_ON, "noisy") == 0.0
