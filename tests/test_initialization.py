@@ -170,3 +170,21 @@ def test_counts_band_rounds():
     known[0, 2:5] = False
     _, rounds, filled, unreachable = _propagate(np.zeros((1, 7)), known, W_FIRST)
     assert (rounds, filled, unreachable) == (2, 3, 0)
+
+
+def test_layout_of_inputs_does_not_matter():
+    # Fortran-ordered and transposed views (as from scipy.io.loadmat or
+    # f.T) give the same bits as fresh C-ordered arrays.
+    rng = np.random.default_rng(24)
+    w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    f = rng.uniform(-np.pi, np.pi, (9, 13))
+    known = rng.random((9, 13)) < 0.4
+    want, *want_counts = _propagate(f, known, w)
+    assert want_counts[1] > 0
+    got, *counts = _propagate(np.asfortranarray(f), np.asfortranarray(known), w)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert counts == want_counts
+    # A transposed view against a C-ordered copy of the same transpose.
+    want_t = initialize(np.ascontiguousarray(f.T), np.ascontiguousarray(known.T), w)
+    got_t = initialize(f.T, known.T, w)
+    assert np.array_equal(got_t.view(np.uint64), want_t.view(np.uint64))
