@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circle import _wrap_array, check_phase_values
-from .model import Weights, _check_mask
+from .model import _FAMILIES, Weights, _check_mask, _family_weights
 
 # Border of the filled mask: the largest offset, so that every placement of
 # a stencil over an image pixel stays inside it, and one that leaves the
@@ -64,21 +64,21 @@ def _fill_mixed(v, t):
     return _wrap_array(v[1] + v[2] - v[0])
 
 
+# Families of ``model._FAMILIES`` in fill preference order: second
+# differences, then mixed, then first.
+_FILL_ORDER = (4, 5, 6, 0, 1, 2, 3)
+_FILLS = {"first": _fill_first, "second": _fill_second, "mixed": _fill_mixed}
+
+
 def _active_kinds(weights: Weights):
-    a1, a2, a3, a4 = weights.alpha
-    b1, b2 = weights.beta
-    # (offsets as (row, col) displacements from the leading pixel, fill,
-    # weight), in fill preference order.
-    table = (
-        (((0, 0), (0, 1), (0, 2)), _fill_second, b1),
-        (((0, 0), (1, 0), (2, 0)), _fill_second, b2),
-        (((0, 0), (1, 0), (0, 1), (1, 1)), _fill_mixed, weights.gamma),
-        (((0, 0), (0, 1)), _fill_first, a1),
-        (((0, 0), (1, 0)), _fill_first, a2),
-        (((0, 0), (1, 1)), _fill_first, a3),
-        (((0, 1), (1, 0)), _fill_first, a4),
-    )
-    return [(offsets, fill) for offsets, fill, weight in table if weight > 0.0]
+    """(offsets from the leading pixel as (row, col) displacements, fill)
+    of each family with a positive weight, in fill preference order."""
+    family_weights = _family_weights(weights)
+    return [
+        (_FAMILIES[i][1], _FILLS[_FAMILIES[i][0].name])
+        for i in _FILL_ORDER
+        if family_weights[i] > 0.0
+    ]
 
 
 def _propagate(f, known, weights: Weights):

@@ -8,18 +8,20 @@ differences over stencils that touch at least one unknown pixel. In
 
 The sweep solver needs the regularizer split into groups of stencils that
 are pairwise pixel-disjoint, so their proximal mappings commute and can be
-applied in one vectorized step.  ``enumerate_stencils`` produces that
+applied in one vectorized step.  ``stencil_groups`` produces that
 split: first differences by parity of the leading index (two groups per
 direction), second differences by residue mod 3 (three groups per
 direction), mixed differences by the parity pair of the leading pixel
 (four groups).  Groups are labeled 1..18 in that order; label 19 is the
 data term.  Indices are 0-based and the residue-0 class always comes
-first within a family.
+first within a family.  Each group is a regular lattice, one strided
+window of the image per stencil position, so it needs no coordinates;
+``enumerate_stencils`` spells the same groups out as (row, col) pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,21 +104,136 @@ def _check_mask(shape, mask) -> np.ndarray:
     return mask
 
 
-# Stencil families in cycle order: (filter, weight index, pixel offsets
-# from the leading pixel, row modulus, col modulus).  The class list of a
-# family enumerates residues with 0 first, row residue varying fastest.
-def _families(weights: Weights):
+# Stencil families in cycle order: (filter, pixel offsets from the leading
+# pixel, row modulus, col modulus).  The class list of a family enumerates
+# residues with 0 first, row residue varying fastest.  The initializer reads
+# the offsets from here as well.
+_FAMILIES = (
+    (FIRST_DIFF, ((0, 0), (0, 1)), 1, 2),
+    (FIRST_DIFF, ((0, 0), (1, 0)), 2, 1),
+    (FIRST_DIFF, ((0, 0), (1, 1)), 2, 1),
+    (FIRST_DIFF, ((0, 1), (1, 0)), 2, 1),
+    (SECOND_DIFF, ((0, 0), (0, 1), (0, 2)), 1, 3),
+    (SECOND_DIFF, ((0, 0), (1, 0), (2, 0)), 3, 1),
+    (MIXED_DIFF, ((0, 0), (1, 0), (0, 1), (1, 1)), 2, 2),
+)
+
+
+def _family_weights(weights: Weights) -> tuple[float, ...]:
+    """The weight of each family of ``_FAMILIES``, in its order."""
     a1, a2, a3, a4 = weights.alpha
     b1, b2 = weights.beta
-    return (
-        (FIRST_DIFF, a1, ((0, 0), (0, 1)), 1, 2),
-        (FIRST_DIFF, a2, ((0, 0), (1, 0)), 2, 1),
-        (FIRST_DIFF, a3 * _INV_SQRT2, ((0, 0), (1, 1)), 2, 1),
-        (FIRST_DIFF, a4 * _INV_SQRT2, ((0, 1), (1, 0)), 2, 1),
-        (SECOND_DIFF, b1, ((0, 0), (0, 1), (0, 2)), 1, 3),
-        (SECOND_DIFF, b2, ((0, 0), (1, 0), (2, 0)), 3, 1),
-        (MIXED_DIFF, weights.gamma, ((0, 0), (1, 0), (0, 1), (1, 1)), 2, 2),
-    )
+    return (a1, a2, a3 * _INV_SQRT2, a4 * _INV_SQRT2, b1, b2, weights.gamma)
+
+
+def _window_ids(window, sel, n_cols: int) -> np.ndarray:
+    """Flat indices of the pixels of ``image[window]`` where ``sel`` (of the
+    window's shape) is True, in row-major order."""
+    rows, cols = window
+    i, k = np.nonzero(sel)
+    return (rows.start + rows.step * i) * n_cols + (cols.start + cols.step * k)
+
+
+@dataclass(frozen=True, eq=False)
+class StencilGroup:
+    """One SubFunctional, described by its lattice instead of coordinates.
+
+    ``windows[j]`` is a (row slice, col slice) pair: ``image[windows[j]]``
+    is a strided view of shape ``shape`` holding the pixel at stencil
+    position j of every stencil of the lattice, the stencils in row-major
+    order of their leading pixels.  With ``index`` None the group is the
+    whole lattice.  Otherwise it is a subset in index form: ``index[j]``
+    holds the flat pixel indices of position j, one entry per stencil of
+    the group.  The data term has ``filt = None``, weight 1 and one
+    position.
+    """
+
+    label: int
+    filt: DifferenceFilter | None
+    weight: float
+    shape: tuple[int, int]
+    windows: tuple[tuple[slice, slice], ...]
+    index: tuple[np.ndarray, ...] | None = None
+
+    def __len__(self) -> int:
+        if self.index is not None:
+            return self.index[0].size
+        return self.shape[0] * self.shape[1]
+
+    def flat_index(self, n_cols: int, where=None) -> list[np.ndarray]:
+        """Index form: per stencil position, the flat indices of the
+        group's pixels in stencil order; with ``where`` (a boolean image),
+        only those of pixels where it is True."""
+        if self.index is None:
+            every = np.ones(self.shape, dtype=bool)
+            return [_window_ids(w, every if where is None else where[w], n_cols)
+                    for w in self.windows]
+        if where is None:
+            return list(self.index)
+        where = where.reshape(-1)
+        return [c[where[c]] for c in self.index]
+
+
+def _lattice_group(label, filt, weight, windows, keep, n_cols) -> StencilGroup:
+    """A group from its lattice and the mask ``keep`` of the stencils it
+    keeps (None: all of them); a partial lattice gets the index form."""
+    rows, cols = windows[0]
+    shape = (len(range(rows.start, rows.stop, rows.step)),
+             len(range(cols.start, cols.stop, cols.step)))
+    index = None
+    if keep is not None and not keep.all():
+        index = tuple(_window_ids(w, keep, n_cols) for w in windows)
+    return StencilGroup(label, filt, float(weight), shape, windows, index)
+
+
+def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[StencilGroup]:
+    """The cycle of SubFunctionals of one problem instance, as lattices.
+
+    The groups, their labels and their stencils are those of
+    :func:`enumerate_stencils`, in the same order.  A group keeps the
+    lattice form when it holds every stencil of its lattice, which is
+    always the case in ``noisy`` mode; in ``noiseless`` mode a group
+    whose lattice has stencils touching no unknown pixel gets the index
+    form.  The data term is the stride-1 lattice over the whole image,
+    restricted to the known pixels.
+    """
+    n_rows, n_cols = int(shape[0]), int(shape[1])
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("image must have at least one pixel")
+    known = _check_mask((n_rows, n_cols), mask)
+    if model_kind not in MODEL_KINDS:
+        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
+    unknown = ~known if model_kind == "noiseless" else None
+
+    groups: list[StencilGroup] = []
+    label = 1
+    for (filt, offsets, row_mod, col_mod), weight in zip(_FAMILIES, _family_weights(weights)):
+        lead_rows = n_rows - max(dr for dr, _ in offsets)
+        lead_cols = n_cols - max(dc for _, dc in offsets)
+        if weight <= 0.0 or lead_rows < 1 or lead_cols < 1:
+            label += row_mod * col_mod
+            continue
+        for col_res in range(col_mod):
+            for row_res in range(row_mod):
+                windows = tuple(
+                    (slice(row_res + dr, lead_rows + dr, row_mod),
+                     slice(col_res + dc, lead_cols + dc, col_mod))
+                    for dr, dc in offsets
+                )
+                keep = None
+                if unknown is not None:
+                    keep = unknown[windows[0]].copy()
+                    for w in windows[1:]:
+                        keep |= unknown[w]
+                groups.append(_lattice_group(label, filt, weight, windows, keep, n_cols))
+                label += 1
+    # Mixed classes are labeled 15..18 in the order (0,0),(1,0),(0,1),(1,1)
+    # of the leading pixel's (row, col) parity, which the loop above emits
+    # because the row residue varies fastest.
+    if model_kind == "noisy":
+        whole = ((slice(0, n_rows, 1), slice(0, n_cols, 1)),)
+        groups.append(_lattice_group(DATA_LABEL, None, 1.0, whole, known, n_cols))
+    return groups
 
 
 def enumerate_stencils(shape, mask, weights: Weights, model_kind: str) -> list[SubFunctional]:
@@ -128,58 +245,39 @@ def enumerate_stencils(shape, mask, weights: Weights, model_kind: str) -> list[S
     present (possibly empty), so the cycle length depends only on which
     weights are active, not on the mask.  In ``noiseless`` mode stencils
     that touch no unknown pixel are dropped; in ``noisy`` mode all fitting
-    stencils are kept and the data term is appended as label 19.
+    stencils are kept and the data term is appended as label 19.  The
+    coordinates are those of :func:`stencil_groups`, which the solver
+    uses instead.
     """
-    n_rows, n_cols = int(shape[0]), int(shape[1])
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("image must have at least one pixel")
-    known = _check_mask((n_rows, n_cols), mask)
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    unknown = ~known
-
-    groups: list[SubFunctional] = []
-    label = 1
-    for filt, weight, offsets, row_mod, col_mod in _families(weights):
-        off = np.asarray(offsets, dtype=np.int64)
-        lead_rows = n_rows - int(off[:, 0].max())
-        lead_cols = n_cols - int(off[:, 1].max())
-        n_classes = row_mod * col_mod
-        if weight <= 0.0 or lead_rows < 1 or lead_cols < 1:
-            label += n_classes
-            continue
-        for col_res in range(col_mod):
-            for row_res in range(row_mod):
-                rr = np.arange(row_res, lead_rows, row_mod, dtype=np.int64)
-                cc = np.arange(col_res, lead_cols, col_mod, dtype=np.int64)
-                lead = np.stack(
-                    [np.repeat(rr, cc.size), np.tile(cc, rr.size)], axis=1
-                )
-                pix = lead[:, None, :] + off[None, :, :]
-                if model_kind == "noiseless":
-                    touches = unknown[pix[:, :, 0], pix[:, :, 1]].any(axis=1)
-                    pix = pix[touches]
-                groups.append(
-                    SubFunctional(label=label, filt=filt, weight=float(weight), pixels=pix)
-                )
-                label += 1
-    # Mixed classes are labeled 15..18 in the order (0,0),(1,0),(0,1),(1,1)
-    # of the leading pixel's (row, col) parity, which the loop above emits
-    # because the row residue varies fastest.
-    if model_kind == "noisy":
-        kr, kc = np.nonzero(known)
-        pix = np.stack([kr, kc], axis=1)[:, None, :].astype(np.int64)
-        groups.append(SubFunctional(label=DATA_LABEL, filt=None, weight=1.0, pixels=pix))
-    return groups
+    n_cols = int(shape[1])
+    out = []
+    for g in stencil_groups(shape, mask, weights, model_kind):
+        pix = np.stack([np.stack(np.divmod(c, n_cols), axis=1) for c in g.flat_index(n_cols)],
+                       axis=1)
+        out.append(SubFunctional(g.label, g.filt, g.weight, pix.astype(np.int64)))
+    return out
 
 
-def flat_columns(pixels: np.ndarray, n_cols: int) -> list[np.ndarray]:
-    """Flat indices of (n, arity, 2) stencil coordinates, one contiguous
-    ``intp`` array per stencil position."""
-    return [
-        pixels[:, j, 0].astype(np.intp) * n_cols + pixels[:, j, 1]
-        for j in range(pixels.shape[1])
-    ]
+def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
+    """The group's values in the 2-D ``image``, one contiguous array per
+    stencil position, in stencil order.
+
+    A lattice is read by a strided copy, an index form by ``np.take``.
+    ``out`` optionally holds one buffer per position, of at least the
+    group's length; the returned arrays are their leading parts.
+    """
+    n = len(group)
+    if out is None:
+        out = [np.empty(n) for _ in group.windows]
+    vals = [b[:n] for b, _ in zip(out, group.windows)]
+    if group.index is None:
+        for v, w in zip(vals, group.windows):
+            np.copyto(v.reshape(group.shape), image[w])
+    else:
+        flat = image.reshape(-1)
+        for v, c in zip(vals, group.index):
+            np.take(flat, c, out=v, mode="clip")
+    return vals
 
 
 def stencil_energy(vals, filt: DifferenceFilter | None, weight: float, ref=None,
@@ -203,9 +301,9 @@ def stencil_energy(vals, filt: DifferenceFilter | None, weight: float, ref=None,
 
 def group_energy(x: np.ndarray, f: np.ndarray, group: SubFunctional) -> float:
     """Energy contribution of one SubFunctional at the image ``x``."""
-    cols = flat_columns(group.pixels, x.shape[1])
-    vals = [np.ravel(x).take(c) for c in cols]
-    ref = np.ravel(f).take(cols[0]) if group.is_data_term else None
+    cols = group.pixels[:, :, 0].astype(np.intp) * x.shape[1] + group.pixels[:, :, 1]
+    vals = [np.ravel(x).take(c) for c in cols.T]
+    ref = np.ravel(f).take(cols[:, 0]) if group.is_data_term else None
     return stencil_energy(vals, group.filt, group.weight, ref)
 
 
@@ -233,5 +331,9 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     check_phase_values(f, "f", where=known)
     if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
         raise ValueError("noiseless model requires x = f on known pixels")
-    groups = enumerate_stencils(x.shape, known, weights, model_kind)
-    return energy_from_groups(x, f, groups)
+    x = np.ascontiguousarray(x)
+    return sum(
+        stencil_energy(gather(x, g), g.filt, g.weight,
+                       gather(f, g)[0] if g.filt is None else None)
+        for g in stencil_groups(x.shape, known, weights, model_kind)
+    )

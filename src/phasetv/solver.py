@@ -10,17 +10,22 @@ the data after every SubFunctional (projection onto the constraint set);
 in noisy mode the data term is a SubFunctional of its own, handled by the
 componentwise prox of the wrapped quadratic.
 
-The sweep kernel works column by column.  Before the first sweep each
-group is packed into one contiguous flat ``intp`` index array per stencil
-position, and the enumerated SubFunctionals (with their (n, arity, 2)
-coordinates) are dropped, so only this one index copy stays alive.  A
-group step gathers its columns into scratch buffers reused across groups
-and sweeps, computes theta from the explicit taps of its filter family,
-shrinks and wraps the columns in place (``prox.shrink_columns``) and
-scatters them back.  The projection then rewrites only the known pixels
-the group touched, from a small per-group index and value array, instead
-of every known pixel of the image.  The recorded energy runs the same
-theta routine as :func:`phasetv.model.energy`, over the groups in
+The sweep kernel works column by column on the lattice groups of
+:func:`phasetv.model.stencil_groups`; no stencil coordinates are built.
+A group that holds its whole lattice (every difference group in noisy
+mode and under ``mask_subsample3``) is gathered by one
+strided copy per stencil position, ``np.copyto(buf, x[rows, cols])``,
+into scratch buffers reused across groups and sweeps, and scattered back
+by the reverse copy.  Only partial lattices, such as the stencils around
+a disc, use the index form and go through ``np.take`` and ``x[c] = v``.
+Between gather and scatter the arithmetic runs on the contiguous
+buffers: theta from the explicit taps of the filter family, then the
+shrink and wrap in place (``prox.shrink_columns``).  Running the ufuncs
+on the strided views directly instead measured slower, since every pass
+then reads strided memory.  The projection rewrites only the known
+pixels the group touched, from a small per-group index and value array,
+instead of every known pixel of the image.  The recorded energy runs the
+same theta routine as :func:`phasetv.model.energy`, over the groups in
 enumeration order, so the last trace entry equals ``energy`` of the
 returned image bit for bit.
 """
@@ -32,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import FILTERS, DifferenceFilter, check_phase_values
-from .model import Weights, enumerate_stencils, flat_columns, stencil_energy
+from .circle import FILTERS, check_phase_values
+from .model import Weights, gather, stencil_energy, stencil_groups
 from .prox import prox_data, shrink_columns
 
 
@@ -85,45 +90,6 @@ def lambda_schedule(k: int, lambda0: float) -> float:
     return lambda0 / (k + 1.0)
 
 
-@dataclass(frozen=True)
-class _Packed:
-    """One SubFunctional in the solver's index form.
-
-    ``cols`` holds one flat index array per stencil position.  ``known``
-    and ``known_values`` are the known pixels among them and their data
-    values (noiseless mode; empty otherwise); for the data term
-    ``known_values`` is the data at its single column.
-    """
-
-    label: int
-    filt: DifferenceFilter | None
-    weight: float
-    cols: tuple[np.ndarray, ...]
-    known: np.ndarray
-    known_values: np.ndarray
-
-
-def _pack(groups: list, n_cols: int, known_flat, f_flat, noiseless: bool) -> list[_Packed]:
-    """Convert SubFunctionals to the column form, emptying ``groups``.
-
-    Each SubFunctional is released as soon as it is packed, so its
-    coordinates and its flat indices coexist for one group at a time.
-    """
-    packed = []
-    groups.reverse()
-    while groups:
-        g = groups.pop()
-        cols = tuple(flat_columns(g.pixels, n_cols))
-        if g.is_data_term:
-            known = cols[0]
-        elif noiseless:
-            known = np.concatenate([c[known_flat[c]] for c in cols])
-        else:
-            known = cols[0][:0]
-        packed.append(_Packed(g.label, g.filt, g.weight, cols, known, f_flat[known]))
-    return packed
-
-
 def run_cppa(
     x0,
     f,
@@ -158,27 +124,44 @@ def run_cppa(
     if noiseless and not np.array_equal(x0[known], f[known]):
         raise ValueError("x0 must equal f on known pixels in noiseless mode")
 
-    groups = enumerate_stencils(x0.shape, known, weights, model_kind)
+    groups = stencil_groups(x0.shape, known, weights, model_kind)
     if config.order is not None and sorted(config.order) != list(range(len(groups))):
         raise ValueError(f"order must be a permutation of 0..{len(groups) - 1}")
 
-    n_rows, n_cols = x0.shape
-    x = x0.reshape(-1).copy()
-    packed = _pack(groups, n_cols, known.reshape(-1), f.reshape(-1), noiseless)
-    cycle = packed if config.order is None else [packed[i] for i in config.order]
-    width = max((p.cols[0].size for p in packed), default=0)
+    n_cols = x0.shape[1]
+    x2d = np.array(x0, order="C")
+    x = x2d.reshape(-1)
+    f_flat = f.reshape(-1)
+    # Per group label: the data at the group's pixels (data term), or the
+    # flat indices and data of the known pixels the group touches, which
+    # the noiseless projection resets after each group step.
+    reset = {}
+    for g in groups:
+        if g.filt is None:
+            reset[g.label] = (None, gather(f, g)[0])
+        elif noiseless:
+            touched = np.concatenate(g.flat_index(n_cols, known))
+            reset[g.label] = (touched, f_flat[touched])
+    cycle = groups if config.order is None else [groups[i] for i in config.order]
+    width = max(map(len, groups), default=0)
     columns = [np.empty(width) for _ in range(max(f.arity for f in FILTERS))]
     theta_buf = np.empty(width)
     step_buf = np.empty(width)
 
-    def gather(p, n):
-        return [np.take(x, c, out=b[:n], mode="clip") for c, b in zip(p.cols, columns)]
+    def scatter(g, vals):
+        if g.index is None:
+            for w, v in zip(g.windows, vals):
+                np.copyto(x2d[w], v.reshape(g.shape))
+        else:
+            for c, v in zip(g.index, vals):
+                x[c] = v
 
     def record(trace, sweep):
         value = 0
-        for p in packed:
-            n = p.cols[0].size
-            value += stencil_energy(gather(p, n), p.filt, p.weight, p.known_values,
+        for g in groups:
+            n = len(g)
+            ref = reset[g.label][1] if g.filt is None else None
+            value += stencil_energy(gather(x2d, g, columns), g.filt, g.weight, ref,
                                     theta_buf[:n], step_buf[:n])
         if not np.isfinite(value):
             raise NumericalError(f"energy became non-finite at sweep {sweep}")
@@ -189,32 +172,32 @@ def run_cppa(
     record(trace, 0)
     for k in range(config.max_sweeps):
         lam = lambda_schedule(k, config.lambda0)
-        for p in cycle:
-            n = p.cols[0].size
+        for g in cycle:
+            n = len(g)
             if n == 0:
                 continue
-            vals = gather(p, n)
-            if p.filt is None:
+            vals = gather(x2d, g, columns)
+            if g.filt is None:
                 # Data term: prox parameter 2*lam because the closed form
                 # weighs the fidelity without the usual 1/2.
-                x[p.cols[0]] = prox_data(vals[0], p.known_values, 2.0 * lam)
+                scatter(g, [prox_data(vals[0], reset[g.label][1], 2.0 * lam)])
                 continue
             try:
-                shrink_columns(vals, lam * p.weight, p.filt, theta_buf[:n], step_buf[:n])
+                shrink_columns(vals, lam * g.weight, g.filt, theta_buf[:n], step_buf[:n])
             except ValueError as exc:
                 raise NumericalError(
-                    f"non-finite values at sweep {k}, subfunctional J{p.label}"
+                    f"non-finite values at sweep {k}, subfunctional J{g.label}"
                 ) from exc
-            for c, v in zip(p.cols, vals):
-                x[c] = v
+            scatter(g, vals)
             if noiseless:
-                x[p.known] = p.known_values
+                touched, values = reset[g.label]
+                x[touched] = values
         sweep = k + 1
         if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
             record(trace, sweep)
 
     return SolverReport(
-        image=x.reshape(n_rows, n_cols),
+        image=x2d,
         energy_trace=tuple(trace),
         sweeps=config.max_sweeps,
         wall_time=time.perf_counter() - start,

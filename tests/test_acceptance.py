@@ -7,6 +7,7 @@ summary.  The heavyweight reconstruction problems live in module scope
 fixtures because the energy criterion re-inspects their traces.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ from phasetv.circle import (
     wrap,
 )
 from phasetv.initialization import initialize
-from phasetv.model import SubFunctional, Weights, enumerate_stencils
+from phasetv.model import Weights, enumerate_stencils, stencil_groups
 from phasetv.prox import oracle_prox_diff, prox_data, prox_diff, prox_diff_objective
 from phasetv.solver import SolverConfig, run_cppa
 from phasetv.synth import (
@@ -289,28 +290,35 @@ def test_criterion_09_disjointness_and_determinism(monkeypatch):
     ref = run_cppa(x0, f, known, all_on, "noiseless", cfg)
     ref_noisy = run_cppa(x0, f, known, all_on, "noisy", cfg)
 
-    base_enumerate = enumerate_stencils
+    # The solver takes its groups from stencil_groups.  The replacement
+    # hands it every group in index form with the stencils permuted, so
+    # the lattice path is compared against a shuffled index path.
+    calls = []
 
     def shuffled(shape, mask, weights, kind):
+        calls.append(kind)
         out = []
-        for g in base_enumerate(shape, mask, weights, kind):
+        for g in stencil_groups(shape, mask, weights, kind):
             perm = rng.permutation(len(g))
-            out.append(SubFunctional(g.label, g.filt, g.weight, g.pixels[perm]))
+            index = tuple(c[perm] for c in g.flat_index(shape[1]))
+            out.append(dataclasses.replace(g, index=index))
         return out
 
-    monkeypatch.setattr(solver_mod, "enumerate_stencils", shuffled)
+    monkeypatch.setattr(solver_mod, "stencil_groups", shuffled)
     bitwise_ok = True
     for _ in range(5):
         rep = run_cppa(x0, f, known, all_on, "noiseless", cfg)
         bitwise_ok &= np.array_equal(ref.image, rep.image)
         rep_noisy = run_cppa(x0, f, known, all_on, "noisy", cfg)
         bitwise_ok &= np.array_equal(ref_noisy.image, rep_noisy.image)
+    bitwise_ok &= calls == ["noiseless", "noisy"] * 5
 
     ok = partition_ok and bitwise_ok
     _report(
         9, ok,
         f"partition exact on 50 instances: {partition_ok}, "
-        f"bitwise identical under shuffled stencil order: {bitwise_ok}",
+        f"bitwise identical under shuffled stencil order in index form "
+        f"({len(calls)} patched calls): {bitwise_ok}",
     )
 
 

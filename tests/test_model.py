@@ -9,8 +9,11 @@ from phasetv import (
     Weights,
     energy,
     enumerate_stencils,
+    mask_disc,
+    mask_subsample3,
     wrap,
 )
+from phasetv.model import stencil_groups
 
 ALL_ON = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
 
@@ -124,6 +127,20 @@ def test_partition_covers_every_stencil_exactly_once():
             for offsets in offset_list:
                 expected |= _brute_force_family(shape, offsets)
         assert seen == expected
+
+
+def test_full_lattices_keep_the_lattice_form():
+    # Every stencil touches an unknown pixel under mask_subsample3, and
+    # noisy mode keeps every stencil, so those difference groups are whole
+    # lattices; the stencils around a disc are not.
+    for shape in ((12, 12), (13, 8)):
+        sub = mask_subsample3(shape)
+        for groups in (stencil_groups(shape, sub, ALL_ON, "noiseless"),
+                       stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noisy")[:-1]):
+            assert len(groups) == 18
+            assert all(g.index is None for g in groups)
+    disc = stencil_groups((12, 12), mask_disc((12, 12), 3.0), ALL_ON, "noiseless")
+    assert all(g.index is not None for g in disc)
 
 
 def test_mask_and_kind_validation():

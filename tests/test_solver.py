@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from phasetv import (
     mask_band,
     run_cppa,
 )
+import phasetv.solver as solver_mod
+from phasetv.model import stencil_groups
 
 
 def test_lambda_schedule_values():
@@ -218,3 +222,71 @@ def test_x0_out_of_range_rejected_and_unknown_data_ignored():
     x0 = initialize(f, known, w)
     rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=2))
     assert np.all(np.isfinite(rep.image))
+
+
+def _index_groups(calls):
+    """A stand-in for ``stencil_groups`` that returns every group in index
+    form, stencils in their enumeration order."""
+
+    def groups(shape, mask, weights, kind):
+        calls.append(kind)
+        return [dataclasses.replace(g, index=tuple(g.flat_index(shape[1])))
+                for g in stencil_groups(shape, mask, weights, kind)]
+
+    return groups
+
+
+def _bits(report):
+    energies = np.array([e for _, e in report.energy_trace])
+    return report.image.view(np.uint64), [s for s, _ in report.energy_trace], energies.view(np.uint64)
+
+
+def test_lattice_form_matches_index_form(monkeypatch):
+    rng = np.random.default_rng(38)
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (1, 13), (13, 1), (13, 13)]
+    shapes += [(int(rng.integers(1, 14)), int(rng.integers(1, 14))) for _ in range(40)]
+    seen = {"empty": 0, "lattice": 0, "index": 0, "order": 0}
+    calls = []
+    for i, shape in enumerate(shapes):
+        f = rng.uniform(-np.pi, np.pi, shape)
+        # Every fifth case knows every pixel or none; the rest a random share.
+        if i % 5 == 0:
+            known = np.full(shape, bool(rng.integers(0, 2)))
+        else:
+            known = rng.random(shape) < rng.uniform(0.1, 0.9)
+        active = rng.random(7) < 0.5
+        active[rng.integers(7)] = True
+        w7 = np.where(active, rng.uniform(0.1, 2.0, 7), 0.0)
+        w = Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+        x0 = initialize(f, known, w)
+        for kind in ("noiseless", "noisy"):
+            groups = stencil_groups(shape, known, w, kind)
+            order = None
+            if groups and rng.random() < 0.5:
+                order = tuple(int(j) for j in rng.permutation(len(groups)))
+                seen["order"] += 1
+            seen["empty"] += sum(len(g) == 0 for g in groups)
+            seen["lattice"] += sum(g.index is None for g in groups)
+            seen["index"] += sum(g.index is not None for g in groups)
+            cfg = SolverConfig(max_sweeps=3, order=order)
+            lattice = run_cppa(x0, f, known, w, kind, cfg)
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "stencil_groups", _index_groups(calls))
+                index = run_cppa(x0, f, known, w, kind, cfg)
+            for a, b in zip(_bits(lattice), _bits(index)):
+                assert np.array_equal(a, b), (shape, kind, order)
+    assert len(calls) == 2 * len(shapes)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_model_kind_and_mask_rejected():
+    f = np.zeros((3, 4))
+    known = np.ones((3, 4), bool)
+    known[1, 1] = False
+    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
+    cfg = SolverConfig(max_sweeps=1)
+    with pytest.raises(ValueError, match="model_kind"):
+        run_cppa(f, f, known, w, "fancy", cfg)
+    for bad in (known.astype(np.uint8), known[:, :3], known[None]):
+        with pytest.raises(ValueError, match="mask"):
+            run_cppa(f, f, bad, w, "noiseless", cfg)
