@@ -15,7 +15,6 @@ from .circle import (
     abs_cyclic_diff,
     dist,
     exp_map,
-    oracle_cyclic_diff,
     signed_cyclic_diff,
     wrap,
 )
@@ -31,7 +30,6 @@ from .fileio import (
 from .initialization import initialize
 from .model import (
     DATA_LABEL,
-    SubFunctional,
     Weights,
     energy,
     energy_from_groups,
@@ -39,7 +37,6 @@ from .model import (
 )
 from .prox import (
     ProxDiffResult,
-    oracle_prox_diff,
     prox_data,
     prox_diff,
     prox_diff_batch,
@@ -78,7 +75,6 @@ __all__ = [
     "SECOND_DIFF",
     "SolverConfig",
     "SolverReport",
-    "SubFunctional",
     "Weights",
     "abs_cyclic_diff",
     "add_wrapped_gaussian_noise",
@@ -97,8 +93,6 @@ __all__ = [
     "mask_disc",
     "mask_random",
     "mask_subsample3",
-    "oracle_cyclic_diff",
-    "oracle_prox_diff",
     "prox_data",
     "prox_diff",
     "prox_diff_batch",

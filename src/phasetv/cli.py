@@ -48,13 +48,7 @@ def _add_weight_flags(p) -> None:
 
 
 def _load_pair(args):
-    f = fileio.read_phase(args.input)
-    known = fileio.read_mask(args.mask)
-    if known.shape != f.shape:
-        raise ValueError(
-            f"mask shape {known.shape} does not match image shape {f.shape}"
-        )
-    return f, known
+    return fileio.read_phase(args.input), fileio.read_mask(args.mask)
 
 
 def cmd_synth(args) -> int:

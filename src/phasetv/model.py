@@ -16,7 +16,8 @@ direction), mixed differences by the parity pair of the leading pixel
 data term.  Indices are 0-based and the residue-0 class always comes
 first within a family.  Each group is a regular lattice, one strided
 window of the image per stencil position, so it needs no coordinates;
-``enumerate_stencils`` spells the same groups out as (row, col) pairs.
+only a partial lattice carries flat pixel indices.  ``energy`` and the
+solver's energy trace both sum the groups in :func:`energy_from_groups`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import (
+    FILTERS,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -72,29 +74,6 @@ class Weights:
             raise ValueError("at least one weight must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class SubFunctional:
-    """One summand of the split energy.
-
-    ``pixels`` holds the stencil coordinates as an (n, arity, 2) int array
-    of (row, col) pairs; within one SubFunctional no pixel occurs twice
-    (the disjointness that makes vectorized prox application valid).  The
-    data term is encoded with ``filt = None``, arity 1 and weight 1.
-    """
-
-    label: int
-    filt: DifferenceFilter | None
-    weight: float
-    pixels: np.ndarray
-
-    @property
-    def is_data_term(self) -> bool:
-        return self.filt is None
-
-    def __len__(self) -> int:
-        return self.pixels.shape[0]
-
-
 def _check_mask(shape, mask) -> np.ndarray:
     mask = np.asarray(mask)
     if mask.shape != tuple(shape):
@@ -136,7 +115,8 @@ def _window_ids(window, sel, n_cols: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class StencilGroup:
-    """One SubFunctional, described by its lattice instead of coordinates.
+    """One summand of the split energy: pairwise pixel-disjoint stencils of
+    one filter family, described by their lattice.
 
     ``windows[j]`` is a (row slice, col slice) pair: ``image[windows[j]]``
     is a strided view of shape ``shape`` holding the pixel at stencil
@@ -144,16 +124,28 @@ class StencilGroup:
     order of their leading pixels.  With ``index`` None the group is the
     whole lattice.  Otherwise it is a subset in index form: ``index[j]``
     holds the flat pixel indices of position j, one entry per stencil of
-    the group.  The data term has ``filt = None``, weight 1 and one
-    position.
+    the group, in an image ``n_cols`` wide.  The data term has
+    ``filt = None``, weight 1 and one position.
     """
 
     label: int
     filt: DifferenceFilter | None
     weight: float
     shape: tuple[int, int]
+    n_cols: int
     windows: tuple[tuple[slice, slice], ...]
     index: tuple[np.ndarray, ...] | None = None
+
+    @property
+    def is_data_term(self) -> bool:
+        return self.filt is None
+
+    @property
+    def pixels(self) -> np.ndarray:
+        """The stencils as an (n, arity, 2) int64 array of (row, col)
+        pairs, in stencil order; built on each access."""
+        return np.stack([np.stack(np.divmod(c, self.n_cols), axis=1).astype(np.int64)
+                         for c in self.flat_index(self.n_cols)], axis=1)
 
     def __len__(self) -> int:
         if self.index is not None:
@@ -183,19 +175,23 @@ def _lattice_group(label, filt, weight, windows, keep, n_cols) -> StencilGroup:
     index = None
     if keep is not None and not keep.all():
         index = tuple(_window_ids(w, keep, n_cols) for w in windows)
-    return StencilGroup(label, filt, float(weight), shape, windows, index)
+    return StencilGroup(label, filt, float(weight), shape, n_cols, windows, index)
 
 
 def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[StencilGroup]:
-    """The cycle of SubFunctionals of one problem instance, as lattices.
+    """Build the cycle of stencil groups for one problem instance.
 
-    The groups, their labels and their stencils are those of
-    :func:`enumerate_stencils`, in the same order.  A group keeps the
-    lattice form when it holds every stencil of its lattice, which is
-    always the case in ``noisy`` mode; in ``noiseless`` mode a group
-    whose lattice has stencils touching no unknown pixel gets the index
-    form.  The data term is the stride-1 lattice over the whole image,
-    restricted to the known pixels.
+    ``mask`` is boolean with True marking known pixels.  A family of
+    stencils is emitted whenever its weight is positive and at least one
+    stencil fits the image domain; its residue classes are then all
+    present (possibly empty), so the cycle length depends only on which
+    weights are active, not on the mask.  In ``noiseless`` mode stencils
+    that touch no unknown pixel are dropped; in ``noisy`` mode all fitting
+    stencils are kept and the data term, the stride-1 lattice over the
+    whole image restricted to the known pixels, is appended as label 19.
+    A group keeps the lattice form when it holds every stencil of its
+    lattice, which is always the case in ``noisy`` mode; otherwise it
+    gets the index form.
     """
     n_rows, n_cols = int(shape[0]), int(shape[1])
     if n_rows < 1 or n_cols < 1:
@@ -236,26 +232,8 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
     return groups
 
 
-def enumerate_stencils(shape, mask, weights: Weights, model_kind: str) -> list[SubFunctional]:
-    """Build the cycle of SubFunctionals for one problem instance.
-
-    ``mask`` is boolean with True marking known pixels.  A family of
-    stencils is emitted whenever its weight is positive and at least one
-    stencil fits the image domain; its residue classes are then all
-    present (possibly empty), so the cycle length depends only on which
-    weights are active, not on the mask.  In ``noiseless`` mode stencils
-    that touch no unknown pixel are dropped; in ``noisy`` mode all fitting
-    stencils are kept and the data term is appended as label 19.  The
-    coordinates are those of :func:`stencil_groups`, which the solver
-    uses instead.
-    """
-    n_cols = int(shape[1])
-    out = []
-    for g in stencil_groups(shape, mask, weights, model_kind):
-        pix = np.stack([np.stack(np.divmod(c, n_cols), axis=1) for c in g.flat_index(n_cols)],
-                       axis=1)
-        out.append(SubFunctional(g.label, g.filt, g.weight, pix.astype(np.int64)))
-    return out
+# The public name of the stencil enumeration.
+enumerate_stencils = stencil_groups
 
 
 def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
@@ -280,35 +258,38 @@ def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]
     return vals
 
 
-def stencil_energy(vals, filt: DifferenceFilter | None, weight: float, ref=None,
-                   theta_buf=None, tmp_buf=None) -> float:
-    """Energy of one group from its gathered values.
+def _scratch(groups) -> list[np.ndarray]:
+    """Buffers for one group step or energy term of any of ``groups``: one
+    per stencil position of the largest arity, plus two."""
+    width = max(map(len, groups), default=0)
+    return [np.empty(width) for _ in range(max(k.arity for k in FILTERS) + 2)]
 
-    ``vals`` holds one array per stencil position.  For a difference group
-    this is ``weight * sum |wrap(<v, taps>)|``; for the data term
-    (``filt`` None) it is ``sum dist(ref, v)^2`` over its single column.
-    The optional buffers have the column length.  Non-finite values give
-    NaN.
+
+def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None) -> float:
+    """The energy at the 2-D image ``x``, summed over ``groups`` in order.
+
+    A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
+    stencils, the data term ``sum dist(v, f)^2`` over its pixels, with
+    ``v`` gathered from ``x`` and the reference from ``f``.  ``scratch``
+    optionally holds reusable buffers as made by ``_scratch(groups)``.
+    Non-finite values give NaN.
     """
+    if scratch is None:
+        scratch = _scratch(groups)
+    *columns, theta_buf, tmp_buf = scratch
+    total = 0
     with np.errstate(invalid="ignore"):
-        if filt is None:
-            d = np.subtract(vals[0], ref, out=theta_buf)
-            d = np.abs(_wrap_array(d, out=d, tmp=tmp_buf), out=d)
-            return float(np.sum(np.square(d, out=d)))
-        theta = _theta_columns(vals, out=theta_buf, tmp=tmp_buf)
-        return weight * float(np.sum(np.abs(theta, out=theta)))
-
-
-def group_energy(x: np.ndarray, f: np.ndarray, group: SubFunctional) -> float:
-    """Energy contribution of one SubFunctional at the image ``x``."""
-    cols = group.pixels[:, :, 0].astype(np.intp) * x.shape[1] + group.pixels[:, :, 1]
-    vals = [np.ravel(x).take(c) for c in cols.T]
-    ref = np.ravel(f).take(cols[:, 0]) if group.is_data_term else None
-    return stencil_energy(vals, group.filt, group.weight, ref)
-
-
-def energy_from_groups(x: np.ndarray, f: np.ndarray, groups) -> float:
-    return sum(group_energy(x, f, g) for g in groups)
+        for g in groups:
+            n = len(g)
+            vals = gather(x, g, columns)
+            if g.filt is None:
+                d = np.subtract(vals[0], gather(f, g, columns[1:])[0], out=theta_buf[:n])
+                d = np.abs(_wrap_array(d, out=d, tmp=tmp_buf[:n]), out=d)
+                total += float(np.sum(np.square(d, out=d)))
+            else:
+                theta = _theta_columns(vals, out=theta_buf[:n], tmp=tmp_buf[:n])
+                total += g.weight * float(np.sum(np.abs(theta, out=theta)))
+    return total
 
 
 def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
@@ -332,8 +313,4 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
         raise ValueError("noiseless model requires x = f on known pixels")
     x = np.ascontiguousarray(x)
-    return sum(
-        stencil_energy(gather(x, g), g.filt, g.weight,
-                       gather(f, g)[0] if g.filt is None else None)
-        for g in stencil_groups(x.shape, known, weights, model_kind)
-    )
+    return energy_from_groups(x, f, stencil_groups(x.shape, known, weights, model_kind))

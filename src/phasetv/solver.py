@@ -1,14 +1,14 @@
 """Cyclic proximal point solver.
 
-One sweep applies the proximal mapping of every SubFunctional in cycle
+One sweep applies the proximal mapping of every stencil group in label
 order with the diminishing parameter ``lambda_k = lambda0 / (k + 1)``,
-which is square-summable but not summable.  Stencils inside one
-SubFunctional are pixel-disjoint, so their proximal mappings are applied
-in a single vectorized gather/compute/scatter step whose result does not
-depend on stencil order.  In noiseless mode the known pixels are reset to
-the data after every SubFunctional (projection onto the constraint set);
-in noisy mode the data term is a SubFunctional of its own, handled by the
-componentwise prox of the wrapped quadratic.
+which is square-summable but not summable.  Stencils inside one group
+are pixel-disjoint, so their proximal mappings are applied in a single
+vectorized gather/compute/scatter step whose result does not depend on
+stencil order.  In noiseless mode the known pixels are reset to the data
+after every group (projection onto the constraint set); in noisy mode
+the data term is a group of its own, handled by the componentwise prox
+of the wrapped quadratic.
 
 The sweep kernel works column by column on the lattice groups of
 :func:`phasetv.model.stencil_groups`; no stencil coordinates are built.
@@ -24,10 +24,10 @@ shrink and wrap in place (``prox.shrink_columns``).  Running the ufuncs
 on the strided views directly instead measured slower, since every pass
 then reads strided memory.  The projection rewrites only the known
 pixels the group touched, from a small per-group index and value array,
-instead of every known pixel of the image.  The recorded energy runs the
-same theta routine as :func:`phasetv.model.energy`, over the groups in
-enumeration order, so the last trace entry equals ``energy`` of the
-returned image bit for bit.
+instead of every known pixel of the image.  The energy trace is
+:func:`phasetv.model.energy_from_groups` on the solver's groups and
+scratch buffers, the loop :func:`phasetv.model.energy` runs, so the last
+trace entry equals ``energy`` of the returned image bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import FILTERS, check_phase_values
-from .model import Weights, gather, stencil_energy, stencil_groups
+from .circle import check_phase_values
+from .model import Weights, _check_mask, _scratch, energy_from_groups, gather, stencil_groups
 from .prox import prox_data, shrink_columns
 
 
@@ -50,16 +50,12 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     """Run parameters for :func:`run_cppa`.
 
-    ``order`` optionally permutes the cycle; it is a tuple of positions
-    into the enumerated SubFunctional sequence (default: enumeration
-    order, i.e. ascending labels).  Energies are recorded every
-    ``record_energy_every`` sweeps, plus always at sweep 0 and the final
-    sweep.
+    Energies are recorded every ``record_energy_every`` sweeps, plus
+    always at sweep 0 and the final sweep.
     """
 
     lambda0: float = np.pi / 2.0
     max_sweeps: int = 700
-    order: tuple[int, ...] | None = None
     record_energy_every: int = 1
 
     def __post_init__(self):
@@ -115,9 +111,7 @@ def run_cppa(
     f = np.asarray(f, dtype=float)
     if x0.shape != f.shape or x0.ndim != 2:
         raise ValueError(f"image shapes disagree: {x0.shape} vs {f.shape}")
-    known = np.asarray(mask)
-    if known.shape != x0.shape or known.dtype != bool:
-        raise ValueError("mask must be boolean with the image shape")
+    known = _check_mask(x0.shape, mask)
     check_phase_values(f, "f", where=known)
     check_phase_values(x0, "x0", where=known | np.isfinite(x0))
     noiseless = model_kind == "noiseless"
@@ -125,8 +119,6 @@ def run_cppa(
         raise ValueError("x0 must equal f on known pixels in noiseless mode")
 
     groups = stencil_groups(x0.shape, known, weights, model_kind)
-    if config.order is not None and sorted(config.order) != list(range(len(groups))):
-        raise ValueError(f"order must be a permutation of 0..{len(groups) - 1}")
 
     n_cols = x0.shape[1]
     x2d = np.array(x0, order="C")
@@ -142,11 +134,8 @@ def run_cppa(
         elif noiseless:
             touched = np.concatenate(g.flat_index(n_cols, known))
             reset[g.label] = (touched, f_flat[touched])
-    cycle = groups if config.order is None else [groups[i] for i in config.order]
-    width = max(map(len, groups), default=0)
-    columns = [np.empty(width) for _ in range(max(f.arity for f in FILTERS))]
-    theta_buf = np.empty(width)
-    step_buf = np.empty(width)
+    scratch = _scratch(groups)
+    *columns, theta_buf, step_buf = scratch
 
     def scatter(g, vals):
         if g.index is None:
@@ -157,12 +146,7 @@ def run_cppa(
                 x[c] = v
 
     def record(trace, sweep):
-        value = 0
-        for g in groups:
-            n = len(g)
-            ref = reset[g.label][1] if g.filt is None else None
-            value += stencil_energy(gather(x2d, g, columns), g.filt, g.weight, ref,
-                                    theta_buf[:n], step_buf[:n])
+        value = energy_from_groups(x2d, f, groups, scratch)
         if not np.isfinite(value):
             raise NumericalError(f"energy became non-finite at sweep {sweep}")
         trace.append((sweep, value))
@@ -172,7 +156,7 @@ def run_cppa(
     record(trace, 0)
     for k in range(config.max_sweeps):
         lam = lambda_schedule(k, config.lambda0)
-        for g in cycle:
+        for g in groups:
             n = len(g)
             if n == 0:
                 continue

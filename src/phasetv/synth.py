@@ -37,39 +37,23 @@ def gen_wrapped_ramp(shape, slope: float, direction: str = "horizontal") -> np.n
     raise ValueError("direction must be 'horizontal' or 'vertical'")
 
 
-def gen_blocks(
-    shape=(128, 128),
-    background: float = -2.0,
-    fg_rows=(0.15, 0.45),
-    fg_cols=(0.2, 0.8),
-    ramp_rows=(0.55, 0.9),
-    ramp_cols=(0.2, 0.8),
-    fg_value: float = 1.0,
-    ramp_span: float = 4.0 * np.pi,
-) -> np.ndarray:
-    """Constant background with a constant block and a wrapped ramp block.
+def gen_blocks(shape=(128, 128)) -> np.ndarray:
+    """Constant background (-2) with a constant block (1) and a wrapped
+    ramp block.
 
-    The fractional row/col ranges are converted to half-open index ranges.
-    The ramp block increases linearly downward, spanning ``ramp_span``
-    radians from its first to its last row (two wraps at the default).
+    The blocks cover rows 0.15-0.45 and 0.55-0.9 of the image and columns
+    0.2-0.8, as fractions rounded to half-open index ranges.  The ramp
+    block increases linearly downward, spanning 4 pi radians (two wraps)
+    from its first to its last row.
     """
     n_rows, n_cols = int(shape[0]), int(shape[1])
     if n_rows < 64 or n_cols < 64:
         raise ValueError("blocks image needs shape at least 64x64")
-    x = np.full((n_rows, n_cols), background, dtype=float)
-
-    def span(fracs, n):
-        lo = int(round(fracs[0] * n))
-        hi = int(round(fracs[1] * n))
-        return lo, hi
-
-    r0, r1 = span(fg_rows, n_rows)
-    c0, c1 = span(fg_cols, n_cols)
-    x[r0:r1, c0:c1] = fg_value
-
-    r0, r1 = span(ramp_rows, n_rows)
-    c0, c1 = span(ramp_cols, n_cols)
-    ramp = ramp_span * np.arange(r1 - r0, dtype=float) / max(r1 - r0 - 1, 1)
+    x = np.full((n_rows, n_cols), -2.0)
+    c0, c1 = round(0.2 * n_cols), round(0.8 * n_cols)
+    x[round(0.15 * n_rows):round(0.45 * n_rows), c0:c1] = 1.0
+    r0, r1 = round(0.55 * n_rows), round(0.9 * n_rows)
+    ramp = 4.0 * np.pi * np.arange(r1 - r0, dtype=float) / max(r1 - r0 - 1, 1)
     x[r0:r1, c0:c1] = ramp[:, None]
     return _wrap_array(x)
 
@@ -95,15 +79,13 @@ def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
     return known.reshape(n_rows, n_cols)
 
 
-def mask_disc(shape, radius: float, center=None) -> np.ndarray:
-    """Unknown disc of the given radius, centered by default."""
+def mask_disc(shape, radius: float) -> np.ndarray:
+    """Unknown disc of the given radius at the center of the image."""
     n_rows, n_cols = int(shape[0]), int(shape[1])
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if center is None:
-        center = ((n_rows - 1) / 2.0, (n_cols - 1) / 2.0)
-    rr = np.arange(n_rows)[:, None] - center[0]
-    cc = np.arange(n_cols)[None, :] - center[1]
+    rr = np.arange(n_rows)[:, None] - (n_rows - 1) / 2.0
+    cc = np.arange(n_cols)[None, :] - (n_cols - 1) / 2.0
     return rr**2 + cc**2 > radius**2
 
 

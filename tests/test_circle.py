@@ -10,10 +10,10 @@ from phasetv import (
     abs_cyclic_diff,
     dist,
     exp_map,
-    oracle_cyclic_diff,
     signed_cyclic_diff,
     wrap,
 )
+from phasetv.circle import oracle_cyclic_diff
 
 TWO_PI = 2.0 * np.pi
 

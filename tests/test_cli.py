@@ -117,8 +117,9 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["mask", "subsample3", "--rows", "2", "--cols", "2",
                  "-o", str(m)]) == 0
     out = tmp_path / "o.phase"
-    assert main(["inpaint", "-i", str(f), "-m", str(m), "-o", str(out)]) == 1
-    assert "shape" in capsys.readouterr().err
+    for command in ("init", "inpaint"):
+        assert main([command, "-i", str(f), "-m", str(m), "-o", str(out)]) == 1
+        assert "shape" in capsys.readouterr().err
 
     assert main(["inpaint", "-i", str(f), "-m", str(m), "-o", str(out),
                  "--alpha", "1,2"]) == 1

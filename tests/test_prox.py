@@ -8,14 +8,13 @@ from phasetv import (
     SECOND_DIFF,
     abs_cyclic_diff,
     dist,
-    oracle_prox_diff,
     prox_data,
     prox_diff,
     prox_diff_batch,
     prox_diff_objective,
     wrap,
 )
-from phasetv.prox import shrink_columns
+from phasetv.prox import oracle_prox_diff, shrink_columns
 
 
 def test_zero_difference_is_fixed_point():

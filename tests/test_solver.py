@@ -10,6 +10,8 @@ from phasetv import (
     cyclic_error,
     dist,
     energy,
+    energy_from_groups,
+    enumerate_stencils,
     gen_wrapped_ramp,
     initialize,
     lambda_schedule,
@@ -125,20 +127,6 @@ def test_determinism():
     assert a.energy_trace == b.energy_trace
 
 
-def test_cycle_permutation_runs_and_validates():
-    rng = np.random.default_rng(33)
-    f = rng.uniform(-np.pi, np.pi, (8, 8))
-    known = rng.random((8, 8)) < 0.7
-    w = Weights(alpha=(1, 1, 0, 0), beta=(1, 1), gamma=0.0)
-    x0 = initialize(f, known, w)
-    n_groups = 10  # 4 first-diff classes + 6 second-diff classes
-    order = tuple(reversed(range(n_groups)))
-    rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=10, order=order))
-    assert rep.sweeps == 10
-    with pytest.raises(ValueError):
-        run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=1, order=(0, 1)))
-
-
 def test_energy_trace_recording():
     rng = np.random.default_rng(34)
     f = rng.uniform(-np.pi, np.pi, (8, 8))
@@ -178,6 +166,9 @@ def test_recorded_energy_equals_public_energy(kind):
     rep = run_cppa(x0, f, known, w, kind, SolverConfig(max_sweeps=7, record_energy_every=3))
     assert rep.energy_trace[0][1] == energy(x0, f, known, w, kind)
     assert rep.energy_trace[-1][1] == energy(rep.image, f, known, w, kind)
+    groups = enumerate_stencils(f.shape, known, w, kind)
+    for x in (x0, rep.image):
+        assert energy_from_groups(x, f, groups) == energy(x, f, known, w, kind)
 
 
 def test_out_of_range_data_rejected_naming_the_pixel():
@@ -245,8 +236,9 @@ def test_lattice_form_matches_index_form(monkeypatch):
     rng = np.random.default_rng(38)
     shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (1, 13), (13, 1), (13, 13)]
     shapes += [(int(rng.integers(1, 14)), int(rng.integers(1, 14))) for _ in range(40)]
-    seen = {"empty": 0, "lattice": 0, "index": 0, "order": 0}
+    seen = {"empty": 0, "lattice": 0, "index": 0}
     calls = []
+    cfg = SolverConfig(max_sweeps=3)
     for i, shape in enumerate(shapes):
         f = rng.uniform(-np.pi, np.pi, shape)
         # Every fifth case knows every pixel or none; the rest a random share.
@@ -261,20 +253,15 @@ def test_lattice_form_matches_index_form(monkeypatch):
         x0 = initialize(f, known, w)
         for kind in ("noiseless", "noisy"):
             groups = stencil_groups(shape, known, w, kind)
-            order = None
-            if groups and rng.random() < 0.5:
-                order = tuple(int(j) for j in rng.permutation(len(groups)))
-                seen["order"] += 1
             seen["empty"] += sum(len(g) == 0 for g in groups)
             seen["lattice"] += sum(g.index is None for g in groups)
             seen["index"] += sum(g.index is not None for g in groups)
-            cfg = SolverConfig(max_sweeps=3, order=order)
             lattice = run_cppa(x0, f, known, w, kind, cfg)
             with monkeypatch.context() as m:
                 m.setattr(solver_mod, "stencil_groups", _index_groups(calls))
                 index = run_cppa(x0, f, known, w, kind, cfg)
             for a, b in zip(_bits(lattice), _bits(index)):
-                assert np.array_equal(a, b), (shape, kind, order)
+                assert np.array_equal(a, b), (shape, kind)
     assert len(calls) == 2 * len(shapes)
     assert all(count > 0 for count in seen.values()), seen
 
