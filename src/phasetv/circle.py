@@ -71,7 +71,11 @@ def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
     the roundings of ``np.mod(t + pi, 2*pi) - pi``: for |t| < 15*pi the
     product 2*pi*k is exact and the difference is exact or rounded as
     np.mod rounds it, so the result is bit-equal to the mod form, at a
-    fraction of its cost.  Non-finite input gives NaN.
+    fraction of its cost.  Beyond that, as for the theta of the solver's
+    lifted iterate (up to about 40*pi), 2*pi*k rounds at the scale of t
+    and the result is within 2 ulp of t of the mod form, still in
+    [-pi, pi).  The wrap is not idempotent on [-pi, pi): ``(t + pi) - pi``
+    can drop low bits of a small t.  Non-finite input gives NaN.
     """
     arr = np.asarray(arr, dtype=float)
     if out is None:

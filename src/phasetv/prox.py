@@ -38,8 +38,8 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     ``cols`` holds the patches as one array per stencil position.  Returns
     ``(theta, step)`` with ``theta = wrap(<v, taps>)`` and
     ``step = copysign(min(lam, |theta| / |taps|^2), theta)``; the shrunk
-    patches are ``wrap(v - step * taps)``.  Invalid operations are
-    silenced; non-finite input gives a NaN theta and step.
+    patches are ``v - step * taps``, up to multiples of 2*pi.  Invalid
+    operations are silenced; non-finite input gives a NaN theta and step.
     """
     with np.errstate(invalid="ignore"):
         theta = _theta_columns(cols, out=theta_out, tmp=step_out)
@@ -51,11 +51,14 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
 
 
 def _apply_step(cols, step, filt: DifferenceFilter, tmp=None) -> None:
-    """Overwrite each column ``v_j`` with ``wrap(v_j - step * taps_j)``.
+    """Overwrite each column ``v_j`` with ``v_j - step * taps_j``, unwrapped.
 
     The taps are +-1 and -2, so ``v + step``, ``v - step`` and
-    ``v + 2*step`` are the exact values of ``v - step * tap``.  ``tmp`` is an
-    optional scratch array of the column length.
+    ``v + 2*step`` are the exact values of ``v - step * tap``.  The output
+    is not reduced to [-pi, pi): it is some representative of the prox,
+    which is all a further prox step needs, since theta is wrapped and
+    the taps are integers.  ``tmp`` is an optional scratch array of the
+    column length.
     """
     for v, tap in zip(cols, filt.taps):
         if tap == 1.0:
@@ -64,7 +67,6 @@ def _apply_step(cols, step, filt: DifferenceFilter, tmp=None) -> None:
             v += step
         else:
             v += np.multiply(step, -tap, out=tmp)
-        _wrap_array(v, out=v, tmp=tmp)
 
 
 def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, step_buf=None) -> None:
@@ -72,7 +74,9 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
 
     ``cols`` is a list of float arrays, one per stencil position, each
     holding that position's value for every patch; they are overwritten
-    with the prox output.  ``theta_buf`` and ``step_buf`` are optional
+    with the prox output, which is not wrapped: each entry moves by at
+    most pi/2 from its input, which may itself be any representative of
+    its angle.  ``theta_buf`` and ``step_buf`` are optional
     scratch arrays of the column length.  Raises ``ValueError`` before
     writing anything if a patch holds a non-finite value.  Always takes the
     primary branch in the (measure-zero) antipodal case, which is what the
@@ -87,11 +91,13 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
 
 
 def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> np.ndarray:
-    """Apply the difference prox to every row of an (n, arity) array."""
+    """Apply the difference prox to every row of an (n, arity) array; the
+    output is wrapped to [-pi, pi)."""
     values = np.asarray(values, dtype=float)
     cols = [values[:, j].copy() for j in range(filt.arity)]
     shrink_columns(cols, lam, filt)
-    return np.stack(cols, axis=1)
+    out = np.stack(cols, axis=1)
+    return _wrap_array(out, out=out)
 
 
 def prox_diff(f, lam: float, filt: DifferenceFilter) -> ProxDiffResult:
@@ -127,10 +133,12 @@ def prox_diff(f, lam: float, filt: DifferenceFilter) -> ProxDiffResult:
     theta, step = _prox_step(f[:, None], lam, filt)
     primary = f.copy()
     _apply_step(primary[:, None], step, filt)
+    _wrap_array(primary, out=primary)
     secondary = None
     if np.pi - abs(float(theta[0])) <= ANTIPODAL_TOL:
         secondary = f.copy()
         _apply_step(secondary[:, None], -step, filt)
+        _wrap_array(secondary, out=secondary)
     return ProxDiffResult(primary=primary, secondary=secondary)
 
 

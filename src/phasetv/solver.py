@@ -20,11 +20,24 @@ by the reverse copy.  Only partial lattices, such as the stencils around
 a disc, use the index form and go through ``np.take`` and ``x[c] = v``.
 Between gather and scatter the arithmetic runs on the contiguous
 buffers: theta from the explicit taps of the filter family, then the
-shrink and wrap in place (``prox.shrink_columns``).  Running the ufuncs
-on the strided views directly instead measured slower, since every pass
-then reads strided memory.  The projection rewrites only the known
-pixels the group touched, from a small per-group index and value array,
-instead of every known pixel of the image.  The energy trace is
+shrink in place (``prox.shrink_columns``).  Running the ufuncs on the
+strided views directly instead measured slower, since every pass then
+reads strided memory.  The projection rewrites only the known pixels the
+group touched, from a small per-group index and value array, instead of
+every known pixel of the image.
+
+The difference groups run on a lifted iterate: a group step leaves its
+pixels unwrapped, since the next step needs only some representative of
+each angle (theta is wrapped and the taps are integers).  A group moves
+a pixel by at most pi/2, so within a sweep |x| stays below about 10*pi
+and |theta| before its wrap below about 40*pi.  After the last
+difference group of each sweep the whole image is wrapped once, in
+place.  In noisy mode that happens before the data term, whose
+shorter-arc test needs representatives in [-pi, pi).  In noiseless mode
+the known pixels are then put back from ``f``: the wrap computes
+``(t + pi) - pi``, which drops low bits of a small ``t``, and the
+constraint holds the data bit for bit.  The energy is recorded after
+the wrap, on the same array the solver returns, with
 :func:`phasetv.model.energy_from_groups` on the solver's groups and
 scratch buffers, the loop :func:`phasetv.model.energy` runs, so the last
 trace entry equals ``energy`` of the returned image bit for bit.
@@ -37,9 +50,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import check_phase_values
+from .circle import _wrap_array, check_phase_values
 from .model import Weights, _check_mask, _scratch, energy_from_groups, gather, stencil_groups
 from .prox import prox_data, shrink_columns
+
+# Pixels per block of the once-per-sweep wrap: the block and its scratch
+# take 512 KB, which stays in a typical L2 cache through the wrap's passes.
+_WRAP_BLOCK = 1 << 15
 
 
 class NumericalError(RuntimeError):
@@ -61,10 +78,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lambda0) and self.lambda0 > 0.0):
             raise ValueError("lambda0 must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
-        if self.record_energy_every < 1:
-            raise ValueError("record_energy_every must be at least 1")
+        for name in ("max_sweeps", "record_energy_every"):
+            value = getattr(self, name)
+            # bool is an int subclass, but True is no count.
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1")
+            object.__setattr__(self, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -124,18 +145,25 @@ def run_cppa(
     x2d = np.array(x0, order="C")
     x = x2d.reshape(-1)
     f_flat = f.reshape(-1)
-    # Per group label: the data at the group's pixels (data term), or the
-    # flat indices and data of the known pixels the group touches, which
-    # the noiseless projection resets after each group step.
-    reset = {}
+    known_flat = known.reshape(-1)
+    # The difference groups with their noiseless projection: the flat
+    # indices and data of the known pixels the group touches, reset after
+    # each group step.  The data term, if any, runs last with its data.
+    steps = []
+    data = None
     for g in groups:
+        if len(g) == 0:
+            continue
         if g.filt is None:
-            reset[g.label] = (None, gather(f, g)[0])
+            data = (g, gather(f, g)[0])
         elif noiseless:
             touched = np.concatenate(g.flat_index(n_cols, known))
-            reset[g.label] = (touched, f_flat[touched])
+            steps.append((g, touched, f_flat[touched]))
+        else:
+            steps.append((g, None, None))
     scratch = _scratch(groups)
     *columns, theta_buf, step_buf = scratch
+    wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
 
     def scatter(g, vals):
         if g.index is None:
@@ -144,6 +172,16 @@ def run_cppa(
         else:
             for c, v in zip(g.index, vals):
                 x[c] = v
+
+    def wrap_iterate():
+        # Block by block: the scratch stays small and the wrap's passes
+        # stay in cache.
+        for lo in range(0, x.size, wrap_tmp.size):
+            hi = lo + wrap_tmp.size
+            block = x[lo:hi]
+            _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
+            if noiseless:
+                np.copyto(block, f_flat[lo:hi], where=known_flat[lo:hi])
 
     def record(trace, sweep):
         value = energy_from_groups(x2d, f, groups, scratch)
@@ -156,16 +194,9 @@ def run_cppa(
     record(trace, 0)
     for k in range(config.max_sweeps):
         lam = lambda_schedule(k, config.lambda0)
-        for g in groups:
+        for g, touched, values in steps:
             n = len(g)
-            if n == 0:
-                continue
             vals = gather(x2d, g, columns)
-            if g.filt is None:
-                # Data term: prox parameter 2*lam because the closed form
-                # weighs the fidelity without the usual 1/2.
-                scatter(g, [prox_data(vals[0], reset[g.label][1], 2.0 * lam)])
-                continue
             try:
                 shrink_columns(vals, lam * g.weight, g.filt, theta_buf[:n], step_buf[:n])
             except ValueError as exc:
@@ -174,8 +205,13 @@ def run_cppa(
                 ) from exc
             scatter(g, vals)
             if noiseless:
-                touched, values = reset[g.label]
                 x[touched] = values
+        wrap_iterate()
+        if data is not None:
+            # Data term: prox parameter 2*lam because the closed form
+            # weighs the fidelity without the usual 1/2.
+            g, f_data = data
+            scatter(g, [prox_data(gather(x2d, g, columns)[0], f_data, 2.0 * lam)])
         sweep = k + 1
         if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
             record(trace, sweep)

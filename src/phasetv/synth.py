@@ -82,8 +82,8 @@ def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
 def mask_disc(shape, radius: float) -> np.ndarray:
     """Unknown disc of the given radius at the center of the image."""
     n_rows, n_cols = int(shape[0]), int(shape[1])
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
+    if not (radius >= 0) or not np.isfinite(radius):
+        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
     rr = np.arange(n_rows)[:, None] - (n_rows - 1) / 2.0
     cc = np.arange(n_cols)[None, :] - (n_cols - 1) / 2.0
     return rr**2 + cc**2 > radius**2
@@ -107,8 +107,8 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
 def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     """Add centered Gaussian noise of standard deviation ``sigma``, wrapped."""
     x = np.asarray(x, dtype=float)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (sigma >= 0) or not np.isfinite(sigma):
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
     if sigma == 0:
         return x.copy()
     rng = np.random.default_rng(seed)

@@ -124,6 +124,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["inpaint", "-i", str(f), "-m", str(m), "-o", str(out),
                  "--alpha", "1,2"]) == 1
 
+    disc = tmp_path / "disc.pgm"
+    capsys.readouterr()
+    assert main(["mask", "disc", "--rows", "5", "--cols", "5", "--radius", "nan",
+                 "-o", str(disc)]) == 1
+    assert "radius" in capsys.readouterr().err
+    assert not disc.exists()
+
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 

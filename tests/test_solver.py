@@ -16,10 +16,13 @@ from phasetv import (
     initialize,
     lambda_schedule,
     mask_band,
+    prox_data,
     run_cppa,
+    wrap,
 )
 import phasetv.solver as solver_mod
-from phasetv.model import stencil_groups
+from phasetv.model import gather, stencil_groups
+from phasetv.prox import shrink_columns
 
 
 def test_lambda_schedule_values():
@@ -46,6 +49,15 @@ def test_config_validation():
         SolverConfig(max_sweeps=0)
     with pytest.raises(ValueError):
         SolverConfig(record_energy_every=0)
+    for bad in (2.5, 3.0, True, "3", None):
+        with pytest.raises(ValueError, match="max_sweeps must be an integer"):
+            SolverConfig(max_sweeps=bad)
+    for bad in (1.5, 1.0, False, "2"):
+        with pytest.raises(ValueError, match="record_energy_every must be an integer"):
+            SolverConfig(record_energy_every=bad)
+    config = SolverConfig(max_sweeps=np.int64(4), record_energy_every=np.int32(2))
+    assert type(config.max_sweeps) is int and config.max_sweeps == 4
+    assert type(config.record_energy_every) is int and config.record_energy_every == 2
 
 
 def test_everything_known_is_identity():
@@ -277,3 +289,61 @@ def test_model_kind_and_mask_rejected():
     for bad in (known.astype(np.uint8), known[:, :3], known[None]):
         with pytest.raises(ValueError, match="mask"):
             run_cppa(f, f, bad, w, "noiseless", cfg)
+
+
+def _wrapped_reference(x0, f, known, weights, kind, cfg):
+    """The sweep with every column wrapped right after its shrink, in index
+    form, with the whole constraint set projected after each group."""
+    x2d = np.array(x0, order="C")
+    x = x2d.reshape(-1)
+    n_cols = x2d.shape[1]
+    f_known = f[known]
+    for k in range(cfg.max_sweeps):
+        lam = lambda_schedule(k, cfg.lambda0)
+        for g in stencil_groups(x2d.shape, known, weights, kind):
+            if len(g) == 0:
+                continue
+            vals = gather(x2d, g)
+            if g.filt is None:
+                vals = [prox_data(vals[0], gather(f, g)[0], 2.0 * lam)]
+            else:
+                shrink_columns(vals, lam * g.weight, g.filt)
+            for c, v in zip(g.flat_index(n_cols), vals):
+                x[c] = wrap(v)
+            if kind == "noiseless":
+                x2d[known] = f_known
+    return x2d
+
+
+def test_lifted_sweep_matches_wrapped_reference():
+    rng = np.random.default_rng(39)
+    for i in range(30):
+        shape = (int(rng.integers(1, 16)), int(rng.integers(1, 16)))
+        if i % 3 == 1:
+            # Rough data and lambda0 = 50: every step takes its
+            # |theta| / |taps|^2 cap, the largest move, so the iterate
+            # strays furthest from [-pi, pi) between wraps.
+            f = rng.uniform(-np.pi, np.pi, shape)
+            w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+            cfg = SolverConfig(lambda0=50.0, max_sweeps=6)
+        else:
+            # Angles at several scales: wrapping a small angle drops its
+            # low bits, which the known-pixel check must be able to see.
+            f = rng.uniform(-1.0, 1.0, shape) * rng.choice([0.01, 1.0, 3.1], shape)
+            active = rng.random(7) < 0.5
+            active[rng.integers(7)] = True
+            w7 = np.where(active, rng.uniform(0.1, 2.0, 7), 0.0)
+            w = Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+            cfg = SolverConfig(lambda0=float(rng.uniform(0.2, 3.0)), max_sweeps=6)
+        if i % 5 == 0:
+            known = np.full(shape, bool(rng.integers(0, 2)))
+        else:
+            known = rng.random(shape) < rng.uniform(0.1, 0.9)
+        x0 = np.where(known, f, rng.uniform(-np.pi, np.pi, shape))
+        for kind in ("noiseless", "noisy"):
+            got = run_cppa(x0, f, known, w, kind, cfg).image
+            want = _wrapped_reference(x0, f, known, w, kind, cfg)
+            assert np.all((got >= -np.pi) & (got < np.pi)), (i, kind)
+            assert np.max(dist(got, want)) <= 1e-12, (i, kind)
+            if kind == "noiseless":
+                assert np.array_equal(got[known].view(np.uint64), f[known].view(np.uint64))

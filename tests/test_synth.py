@@ -99,8 +99,9 @@ def test_disc_mask():
     assert known[31, 31 - 17] and not known[31, 31 - 10]
     single = mask_disc((9, 9), 0.0)
     assert (~single).sum() == 1 and not single[4, 4]
-    with pytest.raises(ValueError):
-        mask_disc((9, 9), -1.0)
+    for bad in (-1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="radius"):
+            mask_disc((9, 9), bad)
 
 
 def test_band_mask():
@@ -122,8 +123,9 @@ def test_noise():
     noisy = add_wrapped_gaussian_noise(x, 0.3, seed=0)
     assert np.all(noisy >= -np.pi) and np.all(noisy < np.pi)
     assert np.array_equal(noisy, add_wrapped_gaussian_noise(x, 0.3, seed=0))
-    with pytest.raises(ValueError):
-        add_wrapped_gaussian_noise(x, -0.1, seed=0)
+    for bad in (-0.1, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            add_wrapped_gaussian_noise(x, bad, seed=0)
 
 
 def test_noise_circular_std():
