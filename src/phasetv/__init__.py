@@ -12,10 +12,7 @@ from .circle import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
-    abs_cyclic_diff,
     dist,
-    exp_map,
-    signed_cyclic_diff,
     wrap,
 )
 from .fileio import (
@@ -35,13 +32,7 @@ from .model import (
     energy_from_groups,
     enumerate_stencils,
 )
-from .prox import (
-    ProxDiffResult,
-    prox_data,
-    prox_diff,
-    prox_diff_batch,
-    prox_diff_objective,
-)
+from .prox import prox_data, prox_diff_batch
 from .solver import (
     NumericalError,
     SolverConfig,
@@ -71,19 +62,16 @@ __all__ = [
     "FormatError",
     "MIXED_DIFF",
     "NumericalError",
-    "ProxDiffResult",
     "SECOND_DIFF",
     "SolverConfig",
     "SolverReport",
     "Weights",
-    "abs_cyclic_diff",
     "add_wrapped_gaussian_noise",
     "cyclic_error",
     "dist",
     "energy",
     "energy_from_groups",
     "enumerate_stencils",
-    "exp_map",
     "gen_atan2",
     "gen_blocks",
     "gen_wrapped_ramp",
@@ -94,15 +82,12 @@ __all__ = [
     "mask_random",
     "mask_subsample3",
     "prox_data",
-    "prox_diff",
     "prox_diff_batch",
-    "prox_diff_objective",
     "read_mask",
     "read_phase",
     "render_gray",
     "render_hue",
     "run_cppa",
-    "signed_cyclic_diff",
     "wrap",
     "write_mask",
     "write_phase",

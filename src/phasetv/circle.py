@@ -51,9 +51,6 @@ class DifferenceFilter:
     def norm_sq(self) -> float:
         return float(sum(t * t for t in self.taps))
 
-    def tap_array(self) -> np.ndarray:
-        return np.asarray(self.taps, dtype=float)
-
 
 FIRST_DIFF = DifferenceFilter((-1.0, 1.0), "first")
 SECOND_DIFF = DifferenceFilter((1.0, -2.0, 1.0), "second")
@@ -184,57 +181,3 @@ def dist(p, q):
     if np.ndim(d) == 0:
         return float(d)
     return d
-
-
-def exp_map(q, t):
-    """Move from base angle ``q`` by tangent value ``t``: wrap(q + t)."""
-    return wrap(np.asarray(q, dtype=float) + np.asarray(t, dtype=float))
-
-
-def _check_patch(x, filt: DifferenceFilter) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size != filt.arity:
-        raise ValueError(
-            f"patch of length {x.size} does not match filter arity {filt.arity}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("patch values must be finite")
-    return x
-
-
-def signed_cyclic_diff(x, filt: DifferenceFilter) -> float:
-    """Wrapped inner product of a patch with the filter taps, in [-pi, pi)."""
-    x = _check_patch(x, filt)
-    return float(wrap(float(x @ filt.tap_array())))
-
-
-def abs_cyclic_diff(x, filt: DifferenceFilter) -> float:
-    """Absolute cyclic difference |wrap(<x, taps>)|, in [0, pi].
-
-    For the first-order filter this equals the geodesic distance of the
-    two patch values.
-    """
-    return abs(signed_cyclic_diff(x, filt))
-
-
-def oracle_cyclic_diff(x, filt: DifferenceFilter) -> float:
-    """Base-point-shift minimization of the filtered difference, by enumeration.
-
-    Evaluates min over alpha of |<wrap(x + alpha), taps>| exactly.  Because
-    the taps sum to zero, the objective is piecewise constant in alpha with
-    breakpoints where some x_j + alpha crosses an odd multiple of pi, so one
-    representative per interval suffices.  Agrees with
-    :func:`abs_cyclic_diff` for the supported filters; kept as an
-    independent test oracle, not a production path.
-    """
-    x = _check_patch(x, filt)
-    taps = filt.tap_array()
-    breakpoints = np.unique(_wrap_array(np.pi - x))
-    if breakpoints.size == 1:
-        reps = breakpoints + np.pi
-    else:
-        mids = 0.5 * (breakpoints[:-1] + breakpoints[1:])
-        closing = 0.5 * (breakpoints[-1] + breakpoints[0] + TWO_PI)
-        reps = np.append(mids, closing)
-    shifted = _wrap_array(x[None, :] + reps[:, None])
-    return float(np.min(np.abs(shifted @ taps)))

@@ -3,33 +3,14 @@
 Two mappings are provided: the prox of ``lam * |wrap(<x, taps>)|`` for the
 three supported difference filters, and the prox of the wrapped quadratic
 data-fidelity term used by the noisy model.  Both have analytical
-solutions; grid-search oracles for testing live here as well.
+solutions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .circle import TWO_PI, DifferenceFilter, _theta_columns, _wrap_array, dist
-
-# Width of the band around |theta| == pi treated as the antipodal
-# (two-valued) case.  Measure-zero in exact arithmetic.
-ANTIPODAL_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ProxDiffResult:
-    """Output of :func:`prox_diff`.
-
-    ``secondary`` is populated only in the antipodal case, where the
-    minimizer is a two-element set; both candidates then achieve the same
-    objective value.  Iterative callers should use ``primary``.
-    """
-
-    primary: np.ndarray
-    secondary: np.ndarray | None = None
+from .circle import TWO_PI, DifferenceFilter, _theta_columns, _wrap_array
 
 
 def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
@@ -78,8 +59,9 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
     most pi/2 from its input, which may itself be any representative of
     its angle.  ``theta_buf`` and ``step_buf`` are optional
     scratch arrays of the column length.  Raises ``ValueError`` before
-    writing anything if a patch holds a non-finite value.  Always takes the
-    primary branch in the (measure-zero) antipodal case, which is what the
+    writing anything if a patch holds a non-finite value.  In the
+    (measure-zero) antipodal case, where the prox is two-valued, the step
+    always follows the sign of the wrapped theta (-pi), which is what the
     sweep solver requires for determinism.
     """
     theta, step = _prox_step(cols, lam, filt, theta_buf, step_buf)
@@ -98,57 +80,6 @@ def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> n
     shrink_columns(cols, lam, filt)
     out = np.stack(cols, axis=1)
     return _wrap_array(out, out=out)
-
-
-def prox_diff(f, lam: float, filt: DifferenceFilter) -> ProxDiffResult:
-    """Proximal mapping of ``lam * |wrap(<., taps>)|`` at the patch ``f``.
-
-    Minimizes ``0.5 * sum_j dist(x_j, f_j)^2 + lam * |wrap(<x, taps>)|``.
-    With ``theta = wrap(<f, taps>)``, ``s = sign(theta)`` and
-    ``m = min(lam, |theta| / |taps|^2)`` the minimizer is
-    ``wrap(f - s*m*taps)``; if ``|theta| == pi`` (antipodal case) the
-    reflected point ``wrap(f + s*m*taps)`` attains the same objective and
-    is returned as ``secondary``.
-
-    Parameters
-    ----------
-    f : sequence of float
-        Patch of wrapped angles, length equal to the filter arity.
-    lam : float
-        Positive prox parameter.
-    filt : DifferenceFilter
-        One of the supported difference filters.
-    """
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if f.ndim != 1 or f.size != filt.arity:
-        raise ValueError(
-            f"patch of length {f.size} does not match filter arity {filt.arity}"
-        )
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive")
-    if not np.all(np.isfinite(f)):
-        raise ValueError("patch values must be finite")
-
-    # Each patch entry becomes a column of length one.
-    theta, step = _prox_step(f[:, None], lam, filt)
-    primary = f.copy()
-    _apply_step(primary[:, None], step, filt)
-    _wrap_array(primary, out=primary)
-    secondary = None
-    if np.pi - abs(float(theta[0])) <= ANTIPODAL_TOL:
-        secondary = f.copy()
-        _apply_step(secondary[:, None], -step, filt)
-        _wrap_array(secondary, out=secondary)
-    return ProxDiffResult(primary=primary, secondary=secondary)
-
-
-def prox_diff_objective(x, f, lam: float, filt: DifferenceFilter) -> float:
-    """Objective minimized by :func:`prox_diff`, evaluated at ``x``."""
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    fidelity = 0.5 * float(np.sum(dist(f, x) ** 2))
-    penalty = lam * abs(float(_wrap_array(x @ filt.tap_array())))
-    return fidelity + penalty
 
 
 def prox_data(g, f, lam: float):
@@ -181,48 +112,3 @@ def prox_data(g, f, lam: float):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def oracle_prox_diff(f, lam: float, filt: DifferenceFilter, grid_step: float = 1e-3) -> np.ndarray:
-    """Grid-search substitute for :func:`prox_diff`; tests only.
-
-    Samples the one-parameter family ``f - t*s*taps`` for
-    ``t in [0, lam + pi]`` and returns the sampled point with the smallest
-    objective.  As a structural safety net it additionally checks that no
-    random off-family perturbation of the winner improves the objective by
-    more than the grid resolution allows, and raises if one does.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 1 or f.size != filt.arity:
-        raise ValueError(
-            f"patch of length {f.size} does not match filter arity {filt.arity}"
-        )
-    if not (np.isfinite(lam) and lam > 0.0):
-        raise ValueError("lam must be positive")
-    if not (0.0 < grid_step <= 1e-3):
-        raise ValueError("grid_step must be in (0, 1e-3]")
-
-    taps = filt.tap_array()
-    theta = float(_wrap_array(f @ taps))
-    s = 1.0 if theta >= 0.0 else -1.0
-    ts = np.arange(0.0, lam + np.pi + grid_step, grid_step)
-    candidates = f[None, :] - np.outer(ts * s, taps)
-    fidelity = 0.5 * np.sum(dist(f[None, :], candidates) ** 2, axis=1)
-    penalty = lam * np.abs(_wrap_array(candidates @ taps))
-    objective = fidelity + penalty
-    best_idx = int(np.argmin(objective))
-    best = _wrap_array(candidates[best_idx])
-    best_obj = float(objective[best_idx])
-
-    # One grid step bounds how far above the true minimum the winner can
-    # sit; a perturbation beating that margin means the family assumption
-    # is broken.
-    slack = (np.pi + lam) * filt.norm_sq * grid_step + 1e-9
-    rng = np.random.default_rng(0)
-    for scale in (2.0 * grid_step, 0.05, 0.5):
-        perturbed = best[None, :] + rng.normal(0.0, scale, size=(64, filt.arity))
-        pert_obj = 0.5 * np.sum(dist(f[None, :], perturbed) ** 2, axis=1)
-        pert_obj += lam * np.abs(_wrap_array(perturbed @ taps))
-        if np.any(pert_obj < best_obj - slack):
-            raise RuntimeError("grid-search result is not locally optimal")
-    return best

@@ -45,6 +45,7 @@ trace entry equals ``energy`` of the returned image bit for bit.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -76,8 +77,12 @@ class SolverConfig:
     record_energy_every: int = 1
 
     def __post_init__(self):
+        # bool is a numbers.Real, but True is no step size.
+        if isinstance(self.lambda0, bool) or not isinstance(self.lambda0, numbers.Real):
+            raise ValueError(f"lambda0 must be a real number, got {self.lambda0!r}")
         if not (np.isfinite(self.lambda0) and self.lambda0 > 0.0):
             raise ValueError("lambda0 must be positive")
+        object.__setattr__(self, "lambda0", float(self.lambda0))
         for name in ("max_sweeps", "record_energy_every"):
             value = getattr(self, name)
             # bool is an int subclass, but True is no count.

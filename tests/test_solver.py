@@ -45,6 +45,15 @@ def test_lambda_schedule_sum_conditions():
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(lambda0=0.0)
+    for bad in ("1.5", None, True, False, 1 + 0j):
+        with pytest.raises(ValueError, match="lambda0 must be a real number"):
+            SolverConfig(lambda0=bad)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="lambda0 must be positive"):
+            SolverConfig(lambda0=bad)
+    for good in (2, np.float32(0.5), np.int64(3)):
+        config = SolverConfig(lambda0=good)
+        assert type(config.lambda0) is float and config.lambda0 == good
     with pytest.raises(ValueError):
         SolverConfig(max_sweeps=0)
     with pytest.raises(ValueError):
@@ -96,12 +105,20 @@ def test_ramp_reconstruction_small():
 
 def test_constraint_pixels_bit_exact():
     rng = np.random.default_rng(31)
-    f = rng.uniform(-np.pi, np.pi, (10, 10))
+    u = rng.uniform(-np.pi, np.pi, (10, 10))
     known = rng.random((10, 10)) < 0.6
     w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
-    x0 = initialize(f, known, w)
-    rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=20))
-    assert np.array_equal(rep.image[known], f[known])
+    first_known = tuple(np.argwhere(known)[0])
+    # The per-sweep wrap computes (t + pi) - pi, which keeps every value of
+    # a uniform draw on [-pi, pi) but drops low bits of a small angle and
+    # turns -0.0 into 0.0; only the restore from f keeps those bits, and
+    # array_equal would take 0.0 for -0.0.
+    for k in (0, 3, 6, 12, 300):
+        f = u * 10.0**-k
+        f[first_known] = -0.0
+        x0 = initialize(f, known, w)
+        rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=20))
+        assert np.array_equal(rep.image[known].view(np.uint64), f[known].view(np.uint64)), k
 
 
 def test_precondition_checked():
@@ -347,3 +364,26 @@ def test_lifted_sweep_matches_wrapped_reference():
             assert np.max(dist(got, want)) <= 1e-12, (i, kind)
             if kind == "noiseless":
                 assert np.array_equal(got[known].view(np.uint64), f[known].view(np.uint64))
+
+
+def test_global_phase_shift_commutes_with_restoration():
+    # x0 is drawn, not initialized: the initializer's middle-pixel tie
+    # can pick the other side of the circle once the data is shifted.
+    rng = np.random.default_rng(40)
+    for i in range(30):
+        shape = (int(rng.integers(1, 12)), int(rng.integers(1, 12)))
+        f = rng.uniform(-np.pi, np.pi, shape)
+        known = rng.random(shape) < rng.uniform(0.1, 0.9)
+        x0 = np.where(known, f, rng.uniform(-np.pi, np.pi, shape))
+        active = rng.random(7) < 0.5
+        active[rng.integers(7)] = True
+        w7 = np.where(active, rng.uniform(0.1, 2.0, 7), 0.0)
+        w = Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+        cfg = SolverConfig(lambda0=float(rng.uniform(0.2, 3.0)), max_sweeps=50)
+        c = float(rng.uniform(-10.0, 10.0))
+        for kind in ("noiseless", "noisy"):
+            rep = run_cppa(x0, f, known, w, kind, cfg)
+            shifted = run_cppa(wrap(x0 + c), wrap(f + c), known, w, kind, cfg)
+            assert np.max(dist(shifted.image, wrap(rep.image + c))) <= 1e-10, (i, kind)
+            e, e_shifted = rep.energy_trace[-1][1], shifted.energy_trace[-1][1]
+            assert abs(e_shifted - e) <= 1e-10 * max(1.0, e), (i, kind)

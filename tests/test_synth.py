@@ -3,7 +3,6 @@ import pytest
 
 from phasetv import (
     SECOND_DIFF,
-    abs_cyclic_diff,
     add_wrapped_gaussian_noise,
     cyclic_error,
     gen_atan2,
@@ -15,6 +14,8 @@ from phasetv import (
     mask_subsample3,
     wrap,
 )
+
+from cyclic_oracle import abs_cyclic_diff
 
 TWO_PI = 2.0 * np.pi
 
