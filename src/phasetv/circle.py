@@ -9,6 +9,7 @@ gives scalar output.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +124,15 @@ def check_phase_values(x, what: str, where=None, error=ValueError) -> None:
     if pixel is not None:
         at = ", ".join(str(i) for i in pixel)
         raise error(f"{what} value {float(x[pixel])!r} out of [-pi, pi) at pixel ({at})")
+
+
+def _check_real(value, what: str) -> float:
+    """``value`` as a float; ``ValueError`` naming ``what`` unless it is a
+    real number (a Python or numpy int or float).  bool is a numbers.Real,
+    but True is no weight or step size."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:

@@ -32,6 +32,7 @@ from .circle import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
+    _check_real,
     _theta_columns,
     _wrap_array,
     check_phase_values,
@@ -52,7 +53,8 @@ class Weights:
     vertical, diagonal, anti-diagonal; the diagonal pair is internally
     scaled by 1/sqrt(2)).  ``beta`` weights the horizontal and vertical
     second differences, ``gamma`` the mixed 2x2 difference.  All entries
-    must be nonnegative and at least one positive.
+    must be real numbers (Python or numpy ints and floats, not bools),
+    nonnegative and at least one positive; they are stored as floats.
     """
 
     alpha: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -60,18 +62,29 @@ class Weights:
     gamma: float = 0.0
 
     def __post_init__(self):
-        alpha = tuple(float(a) for a in self.alpha)
-        beta = tuple(float(b) for b in self.beta)
+        alpha = _real_entries("alpha", self.alpha)
+        beta = _real_entries("beta", self.beta)
+        gamma = _check_real(self.gamma, "gamma")
         if len(alpha) != 4 or len(beta) != 2:
             raise ValueError("alpha needs 4 entries and beta 2")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "gamma", float(self.gamma))
-        parts = alpha + beta + (self.gamma,)
+        object.__setattr__(self, "gamma", gamma)
+        parts = alpha + beta + (gamma,)
         if any(not np.isfinite(w) or w < 0.0 for w in parts):
             raise ValueError("weights must be finite and nonnegative")
         if all(w == 0.0 for w in parts):
             raise ValueError("at least one weight must be positive")
+
+
+def _real_entries(name: str, values) -> tuple[float, ...]:
+    """``values`` as floats; ``ValueError`` naming ``name`` unless it is a
+    sequence of real numbers."""
+    try:
+        entries = tuple(values)
+    except TypeError:
+        raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+    return tuple(_check_real(v, f"each entry of {name}") for v in entries)
 
 
 def _check_mask(shape, mask) -> np.ndarray:

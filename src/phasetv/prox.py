@@ -3,14 +3,17 @@
 Two mappings are provided: the prox of ``lam * |wrap(<x, taps>)|`` for the
 three supported difference filters, and the prox of the wrapped quadratic
 data-fidelity term used by the noisy model.  Both have analytical
-solutions.
+solutions, and each has one in-place kernel that the sweep solver runs on
+its reused buffers: the difference prox computes its step in two passes,
+a division and a clip, and the data prox writes into its input with two
+scratch arrays.  The public functions wrap those same kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circle import TWO_PI, DifferenceFilter, _theta_columns, _wrap_array
+from .circle import TWO_PI, DifferenceFilter, _check_real, _theta_columns, _wrap_array
 
 
 def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
@@ -18,16 +21,17 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
 
     ``cols`` holds the patches as one array per stencil position.  Returns
     ``(theta, step)`` with ``theta = wrap(<v, taps>)`` and
-    ``step = copysign(min(lam, |theta| / |taps|^2), theta)``; the shrunk
-    patches are ``v - step * taps``, up to multiples of 2*pi.  Invalid
+    ``step = clip(theta / |taps|^2, -lam, lam)``; the shrunk patches are
+    ``v - step * taps``, up to multiples of 2*pi.  Since IEEE division is
+    sign-symmetric, the clip gives the bits of
+    ``copysign(min(lam, |theta| / |taps|^2), theta)``, -0.0 and the
+    antipodal theta included, in two passes instead of four.  Invalid
     operations are silenced; non-finite input gives a NaN theta and step.
     """
     with np.errstate(invalid="ignore"):
         theta = _theta_columns(cols, out=theta_out, tmp=step_out)
-    step = np.abs(theta, out=step_out)
-    step /= filt.norm_sq
-    np.minimum(step, lam, out=step)
-    np.copysign(step, theta, out=step)
+        step = np.divide(theta, filt.norm_sq, out=step_out)
+        np.clip(step, -lam, lam, out=step)
     return theta, step
 
 
@@ -82,6 +86,29 @@ def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> n
     return _wrap_array(out, out=out)
 
 
+def _prox_data_into(g, f, lam: float, a, b) -> None:
+    """Overwrite ``g`` with the data prox of ``g`` towards ``f``, in place.
+
+    ``g``, ``f`` and the scratch arrays ``a`` and ``b`` are float arrays of
+    one shape; ``lam`` is positive.  The operations and their roundings
+    are those of the closed form: ``d = g - f``, ``v = sign(d)`` zeroed
+    where ``|d| <= pi``, then ``wrap((g + lam*f) / (1 + lam) + c*v)`` with
+    ``c = 2*pi * lam/(1+lam)``.  ``c*v`` is formed as ``c * (|d| > pi) *
+    sign(d)``: the same values, except that a zeroed entry may be -0.0,
+    which the wrap cannot tell from +0.0, since it first adds pi.
+    """
+    d = np.subtract(g, f, out=a)
+    far = np.greater(np.abs(d, out=b), np.pi, out=b)
+    far *= (lam / (1.0 + lam)) * TWO_PI
+    shift = np.sign(d, out=a)
+    shift *= far
+    avg = np.multiply(f, lam, out=b)
+    avg += g
+    avg /= 1.0 + lam
+    avg += shift
+    _wrap_array(avg, out=g, tmp=a)
+
+
 def prox_data(g, f, lam: float):
     """Componentwise prox of the wrapped quadratic distance to ``f``.
 
@@ -92,23 +119,19 @@ def prox_data(g, f, lam: float):
     ``f`` lie more than pi apart, so that the average is taken along the
     shorter arc.
 
-    Accepts scalars or arrays of any (common) shape; ``lam`` must be
-    nonnegative.  ``lam = 0`` returns ``g`` unchanged; ``lam -> inf``
-    approaches ``f``.
+    Accepts scalars or arrays of any (common) shape; ``lam`` must be a
+    nonnegative real number, else ``ValueError``.  ``lam = 0`` returns
+    ``g`` unchanged; ``lam -> inf`` approaches ``f``.
     """
-    g = np.asarray(g, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if g.shape != f.shape:
-        raise ValueError(f"shape mismatch: {g.shape} vs {f.shape}")
+    lam = _check_real(lam, "lam")
     if not (np.isfinite(lam) and lam >= 0.0):
         raise ValueError("lam must be nonnegative")
-    if lam == 0.0:
-        out = g.copy()
-    else:
-        diff = g - f
-        v = np.where(np.abs(diff) <= np.pi, 0.0, np.sign(diff))
-        ratio = lam / (1.0 + lam)
-        out = _wrap_array((g + lam * f) / (1.0 + lam) + ratio * TWO_PI * v)
+    out = np.array(g, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if out.shape != f.shape:
+        raise ValueError(f"shape mismatch: {out.shape} vs {f.shape}")
+    if lam != 0.0:
+        _prox_data_into(out, f, lam, np.empty(out.shape), np.empty(out.shape))
     if out.ndim == 0:
         return float(out)
     return out

@@ -20,11 +20,15 @@ by the reverse copy.  Only partial lattices, such as the stencils around
 a disc, use the index form and go through ``np.take`` and ``x[c] = v``.
 Between gather and scatter the arithmetic runs on the contiguous
 buffers: theta from the explicit taps of the filter family, then the
-shrink in place (``prox.shrink_columns``).  Running the ufuncs on the
-strided views directly instead measured slower, since every pass then
-reads strided memory.  The projection rewrites only the known pixels the
-group touched, from a small per-group index and value array, instead of
-every known pixel of the image.
+shrink in place (``prox.shrink_columns``), whose step is one division
+and one clip.  The data term is gathered the same way, into the first
+column buffer, and its prox (``prox._prox_data_into``) runs in place
+there with the theta and step buffers as scratch, so it allocates no
+image-sized float arrays.  Running the ufuncs on the strided views
+directly instead measured slower, since every pass then reads strided
+memory.  The projection rewrites only the known pixels the group
+touched, from a small per-group index and value array, instead of every
+known pixel of the image.
 
 The difference groups run on a lifted iterate: a group step leaves its
 pixels unwrapped, since the next step needs only some representative of
@@ -45,15 +49,14 @@ trace entry equals ``energy`` of the returned image bit for bit.
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import _wrap_array, check_phase_values
+from .circle import _check_real, _wrap_array, check_phase_values
 from .model import Weights, _check_mask, _scratch, energy_from_groups, gather, stencil_groups
-from .prox import prox_data, shrink_columns
+from .prox import _prox_data_into, shrink_columns
 
 # Pixels per block of the once-per-sweep wrap: the block and its scratch
 # take 512 KB, which stays in a typical L2 cache through the wrap's passes.
@@ -77,12 +80,10 @@ class SolverConfig:
     record_energy_every: int = 1
 
     def __post_init__(self):
-        # bool is a numbers.Real, but True is no step size.
-        if isinstance(self.lambda0, bool) or not isinstance(self.lambda0, numbers.Real):
-            raise ValueError(f"lambda0 must be a real number, got {self.lambda0!r}")
-        if not (np.isfinite(self.lambda0) and self.lambda0 > 0.0):
+        lambda0 = _check_real(self.lambda0, "lambda0")
+        if not (np.isfinite(lambda0) and lambda0 > 0.0):
             raise ValueError("lambda0 must be positive")
-        object.__setattr__(self, "lambda0", float(self.lambda0))
+        object.__setattr__(self, "lambda0", lambda0)
         for name in ("max_sweeps", "record_energy_every"):
             value = getattr(self, name)
             # bool is an int subclass, but True is no count.
@@ -216,7 +217,10 @@ def run_cppa(
             # Data term: prox parameter 2*lam because the closed form
             # weighs the fidelity without the usual 1/2.
             g, f_data = data
-            scatter(g, [prox_data(gather(x2d, g, columns)[0], f_data, 2.0 * lam)])
+            n = len(g)
+            vals = gather(x2d, g, columns)
+            _prox_data_into(vals[0], f_data, 2.0 * lam, theta_buf[:n], step_buf[:n])
+            scatter(g, vals)
         sweep = k + 1
         if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
             record(trace, sweep)

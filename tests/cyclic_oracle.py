@@ -5,7 +5,9 @@ its kernels to a single patch.  ``signed_cyclic_diff`` and
 ``abs_cyclic_diff`` call ``circle._theta_columns`` and ``prox_diff`` calls
 ``prox.shrink_columns``, so a test built on them checks the code the
 sweep runs.  ``oracle_cyclic_diff`` (enumeration over base-point shifts)
-and ``oracle_prox_diff`` (grid search) are independent references.
+and ``oracle_prox_diff`` (grid search) are independent references, and
+``oracle_prox_data`` is the data prox in its first, allocating form,
+against which the library's in-place kernel is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -134,3 +136,27 @@ def oracle_prox_diff(f, lam: float, filt: DifferenceFilter, grid_step: float = 1
         if np.any(pert_obj < best_obj - slack):
             raise RuntimeError("grid-search result is not locally optimal")
     return best
+
+
+def oracle_prox_data(g, f, lam: float):
+    """The data prox as first written, one temporary array per operation.
+
+    Same contract as ``phasetv.prox_data``: the componentwise minimizer of
+    ``dist(g, x)^2 + lam * dist(f, x)^2``, scalar in, scalar out.
+    """
+    g = np.asarray(g, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if g.shape != f.shape:
+        raise ValueError(f"shape mismatch: {g.shape} vs {f.shape}")
+    if not (np.isfinite(lam) and lam >= 0.0):
+        raise ValueError("lam must be nonnegative")
+    if lam == 0.0:
+        out = g.copy()
+    else:
+        diff = g - f
+        v = np.where(np.abs(diff) <= np.pi, 0.0, np.sign(diff))
+        ratio = lam / (1.0 + lam)
+        out = _wrap_array((g + lam * f) / (1.0 + lam) + ratio * TWO_PI * v)
+    if out.ndim == 0:
+        return float(out)
+    return out

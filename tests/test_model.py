@@ -31,6 +31,21 @@ def test_weights_validation():
         Weights()
     with pytest.raises(ValueError):
         Weights(alpha=(0, 0, 0, 0), beta=(np.nan, 0), gamma=0.0)
+    # Entries that are not real numbers name their field.
+    for bad in ("1", True, np.True_, None, 1j):
+        with pytest.raises(ValueError, match="alpha"):
+            Weights(alpha=(bad, 1, 1, 1), beta=(1, 1), gamma=1.0)
+        with pytest.raises(ValueError, match="beta"):
+            Weights(alpha=(1, 1, 1, 1), beta=(1, bad), gamma=1.0)
+        with pytest.raises(ValueError, match="gamma"):
+            Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=bad)
+    with pytest.raises(ValueError, match="alpha"):
+        Weights(alpha=None, beta=(1, 1), gamma=1.0)
+    # Python and numpy ints and floats are accepted and stored as floats.
+    w = Weights(alpha=(1, np.int64(2), np.float32(0.5), 0.25), beta=np.array([1, 2]),
+                gamma=np.float64(3))
+    assert w == Weights(alpha=(1.0, 2.0, 0.5, 0.25), beta=(1.0, 2.0), gamma=3.0)
+    assert all(type(v) is float for v in w.alpha + w.beta + (w.gamma,))
 
 
 def test_single_pixel_domain():

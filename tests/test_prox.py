@@ -11,9 +11,16 @@ from phasetv import (
     prox_diff_batch,
     wrap,
 )
-from phasetv.prox import shrink_columns
+from phasetv import prox
+from phasetv.prox import _prox_data_into, _prox_step, shrink_columns
 
-from cyclic_oracle import abs_cyclic_diff, oracle_prox_diff, prox_diff, prox_diff_objective
+from cyclic_oracle import (
+    abs_cyclic_diff,
+    oracle_prox_data,
+    oracle_prox_diff,
+    prox_diff,
+    prox_diff_objective,
+)
 
 
 def test_zero_difference_is_fixed_point():
@@ -141,6 +148,43 @@ def test_column_kernel_matches_reference_formula(filt):
         assert np.array_equal(batch, wrap(got))
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _four_pass_step(theta, lam, filt):
+    """The step as computed before the clip form."""
+    step = np.abs(theta)
+    step /= filt.norm_sq
+    np.minimum(step, lam, out=step)
+    return np.copysign(step, theta, out=step)
+
+
+@pytest.mark.parametrize("filt", FILTERS, ids=lambda f: f.name)
+def test_step_matches_four_pass_formula_bitwise(filt, monkeypatch):
+    rng = np.random.default_rng(17)
+    # Through the real theta of random patches.
+    cols = [rng.uniform(-np.pi, np.pi, 4000) for _ in range(filt.arity)]
+    for lam in (0.37, np.pi / 2, 5.0, np.inf):
+        theta, step = _prox_step(cols, lam, filt)
+        assert np.array_equal(_bits(step), _bits(_four_pass_step(theta, lam, filt)))
+    # On prescribed thetas: the wrap never returns -0.0, +pi or NaN for
+    # finite input, so theta is fed to the step directly.
+    random_theta = rng.uniform(-np.pi, np.pi, 4000)
+    # |theta| / |taps|^2 is exactly edge_lam for the first random theta, and
+    # one ulp above the lam after it.
+    edge_lam = abs(float(random_theta[0])) / filt.norm_sq
+    for lam in (0.37, np.pi / 2, edge_lam, np.nextafter(edge_lam, 0.0), np.inf):
+        special = [0.0, -0.0, np.pi, -np.pi, np.nan, -np.nan, np.inf, -np.inf]
+        for edge in (lam * filt.norm_sq, -lam * filt.norm_sq):
+            special += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
+        theta = np.concatenate([special, random_theta])
+        monkeypatch.setattr(prox, "_theta_columns",
+                            lambda cols, out=None, tmp=None: theta.copy())
+        _, step = _prox_step(cols, lam, filt)
+        assert np.array_equal(_bits(step), _bits(_four_pass_step(theta, lam, filt)))
+
+
 def test_column_kernel_rejects_non_finite_before_writing():
     cols = [np.array([0.1, np.nan]), np.array([0.2, 0.3])]
     before = [c.copy() for c in cols]
@@ -161,8 +205,57 @@ def test_prox_data_examples():
 def test_prox_data_validation():
     with pytest.raises(ValueError):
         prox_data(np.zeros(3), np.zeros(2), 1.0)
-    with pytest.raises(ValueError):
-        prox_data(0.0, 0.0, -0.5)
+    for lam in (-0.5, np.nan, np.inf, "1", None, True, np.True_, 1j):
+        with pytest.raises(ValueError):
+            prox_data(0.0, 0.0, lam)
+    # Python and numpy ints and floats are accepted.
+    for lam in (1, np.int64(1), np.float64(1.0)):
+        assert prox_data(0.4, 0.2, lam) == prox_data(0.4, 0.2, 1.0)
+
+
+def _data_prox_cases(rng):
+    """(g, f) pairs covering the short-arc test's edge and tiny data."""
+    pi = np.pi
+    # |g - f| is exactly pi, and its floating-point neighbours, in both
+    # directions: with f = +-0.0 or g = 0.0 the difference is exact.
+    at_pi = [pi, np.nextafter(pi, 0.0), np.nextafter(pi, 4.0), -pi,
+             np.nextafter(-pi, 0.0), np.nextafter(-pi, -4.0)]
+    g_edge = np.array(at_pi + at_pi + [0.0] * 6)
+    f_edge = np.array([0.0] * 6 + [-0.0] * 6 + [-d for d in at_pi])
+    d = g_edge - f_edge
+    assert np.any(np.abs(d) == pi) and np.any(np.abs(d) > pi) and np.any(np.abs(d) < pi)
+    yield g_edge, f_edge
+    # pi/2 - (-pi/2) is exactly pi as well.
+    yield np.array([pi / 2, -pi / 2]), np.array([-pi / 2, pi / 2])
+    g = rng.uniform(-pi, pi, 2000)
+    yield g, g.copy()
+    yield np.array([-0.0, 0.0, -0.0, 0.5]), np.array([-0.0, -0.0, 0.0, -0.0])
+    for k in (0, 3, 6, 12, 300):
+        scale = 10.0 ** -k
+        g = rng.uniform(-pi, pi, 2000) * scale
+        f = rng.uniform(-pi, pi, 2000) * scale
+        g[0], f[1] = -0.0, -0.0
+        yield g, f
+
+
+def test_prox_data_matches_allocating_formula_bitwise():
+    rng = np.random.default_rng(18)
+    for g, f in _data_prox_cases(rng):
+        for lam in (1e-300, 1e-6, 0.1, 1.0, np.pi / 7, 37.5, 1e6):
+            expected = _bits(oracle_prox_data(g, f, lam))
+            g_in, f_in = g.copy(), f.copy()
+            assert np.array_equal(_bits(prox_data(g, f, lam)), expected)
+            assert np.array_equal(_bits(g), _bits(g_in)) and np.array_equal(_bits(f), _bits(f_in))
+            # The kernel on leading parts of larger buffers, as the solver
+            # calls it.
+            n = g.size
+            buf, a, b = np.empty(n + 5), np.empty(n + 3), np.empty(n + 7)
+            buf[:n] = g
+            _prox_data_into(buf[:n], f, lam, a[:n], b[:n])
+            assert np.array_equal(_bits(buf[:n]), expected)
+    for g, f, lam in ((0.4, 0.2, 1.0), (3.0, -3.0, 1.0), (np.pi / 2, -np.pi / 2, 0.25)):
+        assert _bits(prox_data(g, f, lam)) == _bits(oracle_prox_data(g, f, lam))
+
 
 
 def test_prox_data_limits():
