@@ -135,15 +135,25 @@ def _check_real(value, what: str) -> float:
     return float(value)
 
 
-def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:
-    """Wrapped inner product of patches with the taps of their filter.
+def _check_int(value, what: str) -> int:
+    """``value`` as an int; ``ValueError`` naming ``what`` unless it is a
+    Python or numpy integer.  bool is an int subclass, but True is no
+    count or index."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
-    ``cols`` holds one array per stencil position; the arity selects the
-    filter, since each supported filter has its own.  The taps are written
-    out in the summation order of ``(values * taps).sum(axis=-1)``:
+
+def _tap_sum(cols, out=None) -> np.ndarray:
+    """Inner product of patches with the taps of their filter, unwrapped.
+
+    ``cols`` holds one array per stencil position, all of one shape (1-D
+    columns or the strided 2-D windows of a lattice); the arity selects
+    the filter, since each supported filter has its own.  The taps are
+    written out in the summation order of ``(values * taps).sum(axis=-1)``:
     ``v1 - v0``, ``v0 - 2*v1 + v2`` and ``v1 - v0 + v2 - v3``.  No BLAS
     call is involved, so an entry does not depend on how many patches are
-    batched together.
+    batched together or on the memory layout of ``cols``.
     """
     if len(cols) == 2:
         theta = np.subtract(cols[1], cols[0], out=out)
@@ -155,7 +165,37 @@ def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:
         theta = np.subtract(cols[1], cols[0], out=out)
         theta += cols[2]
         theta -= cols[3]
+    return theta
+
+
+def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:
+    """Wrapped inner product of patches with the taps of their filter:
+    :func:`_tap_sum` reduced to [-pi, pi) by :func:`_wrap_array`."""
+    theta = _tap_sum(cols, out)
     return _wrap_array(theta, out=theta, tmp=tmp)
+
+
+def _near_wrap(t, tmp) -> np.ndarray:
+    """Overwrite ``t`` with ``t - 2*pi*rint(t / (2*pi))`` and return it.
+
+    Four in-place passes with the scratch array ``tmp``.  Unlike
+    :func:`_wrap_array` it neither emulates ``np.mod`` nor clamps, so an
+    odd multiple of pi may land on either end of [-pi, pi]: read only its
+    absolute value or its square.  Non-finite input gives NaN.
+    """
+    k = np.multiply(t, _INV_TWO_PI, out=tmp)
+    np.rint(k, out=k)
+    np.multiply(k, TWO_PI, out=k)
+    return np.subtract(t, k, out=t)
+
+
+def _abs_wrap(t, tmp) -> np.ndarray:
+    """Overwrite ``t`` with ``|wrap(t)|`` in five passes and return it.
+
+    For |t| up to the solver's 40*pi it is within 2 ulp of ``t`` (and at
+    least 2e-15) of ``np.abs(wrap(t))``, and may pass pi by that much.
+    """
+    return np.abs(_near_wrap(t, tmp), out=t)
 
 
 def wrap(t):

@@ -17,7 +17,10 @@ data term.  Indices are 0-based and the residue-0 class always comes
 first within a family.  Each group is a regular lattice, one strided
 window of the image per stencil position, so it needs no coordinates;
 only a partial lattice carries flat pixel indices.  ``energy`` and the
-solver's energy trace both sum the groups in :func:`energy_from_groups`.
+solver's energy trace both sum the groups in :func:`energy_from_groups`,
+which reads a whole lattice in place through its strided windows and,
+since it needs only |wrap theta|, wraps with the clamp-free
+``circle._abs_wrap`` instead of the solver's ``np.mod``-exact wrap.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from .circle import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
+    _abs_wrap,
     _check_real,
-    _theta_columns,
-    _wrap_array,
+    _near_wrap,
+    _tap_sum,
     check_phase_values,
 )
 
@@ -283,9 +287,12 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None) -> fl
 
     A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
     stencils, the data term ``sum dist(v, f)^2`` over its pixels, with
-    ``v`` gathered from ``x`` and the reference from ``f``.  ``scratch``
-    optionally holds reusable buffers as made by ``_scratch(groups)``.
-    Non-finite values give NaN.
+    ``v`` read from ``x`` and the reference from ``f``.  A whole lattice
+    forms its tap sums straight from the windows of ``x``; an index form
+    and the data term are gathered first.  Either way the tap sums fill one
+    contiguous buffer in stencil order, so both forms give the same bits.
+    ``scratch`` optionally holds reusable buffers as made by
+    ``_scratch(groups)``.  Non-finite values give NaN.
     """
     if scratch is None:
         scratch = _scratch(groups)
@@ -294,14 +301,16 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None) -> fl
     with np.errstate(invalid="ignore"):
         for g in groups:
             n = len(g)
-            vals = gather(x, g, columns)
+            theta, tmp = theta_buf[:n], tmp_buf[:n]
             if g.filt is None:
-                d = np.subtract(vals[0], gather(f, g, columns[1:])[0], out=theta_buf[:n])
-                d = np.abs(_wrap_array(d, out=d, tmp=tmp_buf[:n]), out=d)
-                total += float(np.sum(np.square(d, out=d)))
+                np.subtract(gather(x, g, columns)[0], gather(f, g, columns[1:])[0], out=theta)
+                total += float(np.sum(np.square(_near_wrap(theta, tmp), out=theta)))
+                continue
+            if g.index is None:
+                _tap_sum([x[w] for w in g.windows], theta.reshape(g.shape))
             else:
-                theta = _theta_columns(vals, out=theta_buf[:n], tmp=tmp_buf[:n])
-                total += g.weight * float(np.sum(np.abs(theta, out=theta)))
+                _tap_sum(gather(x, g, columns), theta)
+            total += g.weight * float(np.sum(_abs_wrap(theta, tmp)))
     return total
 
 

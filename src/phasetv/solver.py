@@ -44,7 +44,11 @@ constraint holds the data bit for bit.  The energy is recorded after
 the wrap, on the same array the solver returns, with
 :func:`phasetv.model.energy_from_groups` on the solver's groups and
 scratch buffers, the loop :func:`phasetv.model.energy` runs, so the last
-trace entry equals ``energy`` of the returned image bit for bit.
+trace entry equals ``energy`` of the returned image bit for bit.  That
+loop forms the tap sums of whole lattices from strided views and takes
+|wrap theta| by a clamp-free rint form, cheaper than the sweep's wrap;
+nothing in the sweep reads the energy, so recording it cannot change
+the iterate.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import _check_real, _wrap_array, check_phase_values
+from .circle import _check_int, _check_real, _wrap_array, check_phase_values
 from .model import Weights, _check_mask, _scratch, energy_from_groups, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
 
@@ -85,13 +89,10 @@ class SolverConfig:
             raise ValueError("lambda0 must be positive")
         object.__setattr__(self, "lambda0", lambda0)
         for name in ("max_sweeps", "record_energy_every"):
-            value = getattr(self, name)
-            # bool is an int subclass, but True is no count.
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            value = _check_int(getattr(self, name), name)
             if value < 1:
                 raise ValueError(f"{name} must be at least 1")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)

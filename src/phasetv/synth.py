@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import _wrap_array, dist
+from .circle import _check_int, _wrap_array, dist
 
 
 def gen_atan2(n: int) -> np.ndarray:
@@ -90,17 +90,29 @@ def mask_disc(shape, radius: float) -> np.ndarray:
 
 
 def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> np.ndarray:
-    """Unknown strip of consecutive columns (vertical) or rows (horizontal)."""
+    """Unknown strip of ``width`` consecutive columns (vertical) or rows
+    (horizontal), the first of them ``start``.
+
+    ``start`` and ``width`` must be nonnegative integers (not bools), and
+    ``start`` must lie inside the image along the chosen orientation;
+    otherwise a ``ValueError`` names the argument.  A band that runs past
+    the far edge is clipped to the image.
+    """
     n_rows, n_cols = int(shape[0]), int(shape[1])
-    if width < 0 or start < 0:
-        raise ValueError("start and width must be nonnegative")
+    if orientation not in ("vertical", "horizontal"):
+        raise ValueError("orientation must be 'vertical' or 'horizontal'")
+    start = _check_int(start, "start")
+    width = _check_int(width, "width")
+    if width < 0:
+        raise ValueError(f"width must be nonnegative, got {width}")
+    extent, lines = (n_cols, "columns") if orientation == "vertical" else (n_rows, "rows")
+    if not 0 <= start < extent:
+        raise ValueError(f"start must index one of the image's {extent} {lines}, got {start}")
     known = np.ones((n_rows, n_cols), dtype=bool)
     if orientation == "vertical":
         known[:, start : start + width] = False
-    elif orientation == "horizontal":
-        known[start : start + width, :] = False
     else:
-        raise ValueError("orientation must be 'vertical' or 'horizontal'")
+        known[start : start + width, :] = False
     return known
 
 

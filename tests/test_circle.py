@@ -11,6 +11,8 @@ from phasetv import (
     wrap,
 )
 
+from phasetv.circle import _abs_wrap
+
 from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
 
 TWO_PI = 2.0 * np.pi
@@ -66,6 +68,34 @@ def test_wrap_boundaries_stay_in_range_and_match_mod_form():
     # agree only to a couple of ulps of t; below that the bound is 2e-15.
     tol = np.maximum(2e-15, 2.0 * np.spacing(np.abs(t)))
     assert np.all(np.abs(_mod_wrap(w - _mod_wrap(t))) <= tol)
+
+
+def test_abs_wrap_matches_abs_of_wrap():
+    rng = np.random.default_rng(4)
+    odd = np.arange(-41, 42, 2) * np.pi
+    t = np.concatenate([
+        odd,
+        np.nextafter(odd, np.inf),
+        np.nextafter(odd, -np.inf),
+        np.arange(-20, 21) * TWO_PI,
+        [0.0, -0.0, 1e-300, -1e-300],
+        rng.uniform(-40 * np.pi, 40 * np.pi, 20000),
+        rng.uniform(-np.pi, np.pi, 2000),
+    ])
+    got = _abs_wrap(t.copy(), np.empty_like(t))
+    # No clamp: near an odd multiple of pi the result may pass pi by the
+    # rounding of 2*pi*k, never by more than the tolerance.
+    tol = np.maximum(2e-15, 2.0 * np.spacing(np.abs(t)))
+    assert np.all(got >= 0.0) and np.all(got <= np.pi + tol)
+    assert np.all(np.abs(got - np.abs(wrap(t))) <= tol)
+    # Zeros of either sign give +0.0; the buffer is overwritten in place.
+    zeros = np.array([0.0, -0.0])
+    assert _abs_wrap(zeros, np.empty(2)) is zeros
+    assert not np.signbit(zeros).any() and not zeros.any()
+    bad = np.array([np.nan, np.inf, -np.inf, 1.0])
+    with np.errstate(invalid="ignore"):
+        got = _abs_wrap(bad, np.empty(4))
+    assert np.isnan(got[:3]).all() and got[3] == 1.0
 
 
 def test_dist_examples():

@@ -131,6 +131,13 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "radius" in capsys.readouterr().err
     assert not disc.exists()
 
+    # A band that starts outside the image is an error, not an all-known mask.
+    band = tmp_path / "band.pgm"
+    assert main(["mask", "band", "--rows", "4", "--cols", "4", "--start", "9",
+                 "--width", "2", "-o", str(band)]) == 1
+    assert "start" in capsys.readouterr().err
+    assert not band.exists()
+
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 

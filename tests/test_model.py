@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,13 +9,17 @@ from phasetv import (
     MIXED_DIFF,
     SECOND_DIFF,
     Weights,
+    dist,
     energy,
+    energy_from_groups,
     enumerate_stencils,
     mask_disc,
     mask_subsample3,
     wrap,
 )
 from phasetv.model import stencil_groups
+
+from cyclic_oracle import abs_cyclic_diff
 
 ALL_ON = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
 
@@ -243,3 +249,89 @@ def test_energy_rejects_non_angles():
         g = f.copy()
         g[2, 3] = bad
         assert energy(f, g, known, ALL_ON, "noisy") == 0.0
+
+
+def _random_case(rng, shape, kind):
+    """Data, mask, an admissible image and a random weight subset."""
+    f = rng.uniform(-np.pi, np.pi, shape)
+    known = rng.random(shape) < rng.uniform(0.0, 1.0)
+    x = rng.uniform(-np.pi, np.pi, shape)
+    if kind == "noiseless":
+        x = np.where(known, f, x)
+    active = rng.random(7) < 0.5
+    active[rng.integers(7)] = True
+    w7 = np.where(active, rng.uniform(0.1, 2.0, 7), 0.0)
+    return x, f, known, Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+
+
+def _random_shapes(rng, count):
+    shapes = [(1, 1), (1, 2), (2, 1), (1, 9), (9, 1), (2, 2), (3, 3)]
+    return shapes + [(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+                     for _ in range(count)]
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-12 * abs(b)
+
+
+def test_energy_matches_stencil_by_stencil_sum():
+    # Independent of the lattice windows and of the energy's wrap: every
+    # stencil's coordinates, one patch at a time through the sweep's
+    # wrapped inner product, summed in Python.
+    rng = np.random.default_rng(43)
+    seen = {"lattice": 0, "index": 0, "data": 0}
+    for shape in _random_shapes(rng, 30):
+        for kind in ("noiseless", "noisy"):
+            x, f, known, w = _random_case(rng, shape, kind)
+            want = 0.0
+            for g in enumerate_stencils(shape, known, w, kind):
+                if len(g) == 0:
+                    continue
+                seen["data" if g.is_data_term else
+                     "lattice" if g.index is None else "index"] += 1
+                pix = g.pixels
+                if g.is_data_term:
+                    rows, cols = pix[:, 0, 0], pix[:, 0, 1]
+                    want += float(np.sum(dist(x[rows, cols], f[rows, cols]) ** 2))
+                    continue
+                want += g.weight * sum(abs_cyclic_diff(x[p[:, 0], p[:, 1]], g.filt)
+                                       for p in pix)
+            assert _close(energy(x, f, known, w, kind), want), (shape, kind)
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_energy_from_groups_non_finite_gives_nan_silently():
+    rng = np.random.default_rng(44)
+    for shape in ((6, 7), (1, 5), (5, 1)):
+        f = rng.uniform(-np.pi, np.pi, shape)
+        known = rng.random(shape) < 0.5
+        known[-1, -1] = False  # so that noiseless stencils read the bad pixel
+        for kind in ("noiseless", "noisy"):
+            groups = stencil_groups(shape, known, ALL_ON, kind)
+            for bad in (np.nan, np.inf, -np.inf):
+                x = f.copy()
+                x[-1, -1] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.isnan(energy_from_groups(x, f, groups)), (shape, kind, bad)
+
+
+def test_energy_invariant_under_transpose_and_flip():
+    # Transposing swaps the horizontal and vertical families (alpha1 and
+    # alpha2, beta1 and beta2) and maps each diagonal family and the mixed
+    # one onto itself; a horizontal flip swaps the two diagonals (alpha3
+    # and alpha4).  The solver's output has no such symmetry, since its
+    # cycle order is fixed, but the energy of any image does.
+    rng = np.random.default_rng(45)
+    for shape in _random_shapes(rng, 30):
+        for kind in ("noiseless", "noisy"):
+            x, f, known, w = _random_case(rng, shape, kind)
+            a1, a2, a3, a4 = w.alpha
+            b1, b2 = w.beta
+            base = energy(x, f, known, w, kind)
+            transposed = Weights(alpha=(a2, a1, a3, a4), beta=(b2, b1), gamma=w.gamma)
+            assert _close(energy(x.T, f.T, known.T, transposed, kind), base), (shape, kind)
+            flipped = Weights(alpha=(a1, a2, a4, a3), beta=w.beta, gamma=w.gamma)
+            flip = np.s_[:, ::-1]
+            assert _close(energy(x[flip], f[flip], known[flip], flipped, kind), base), \
+                (shape, kind)

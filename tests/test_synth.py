@@ -111,10 +111,29 @@ def test_band_mask():
     assert not known[:, 5:9].any() and known[:, :5].all() and known[:, 9:].all()
     horizontal = mask_band((20, 8), start=5, width=4, orientation="horizontal")
     assert not horizontal[5:9, :].any()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="start"):
         mask_band((8, 8), start=-1, width=2)
+    with pytest.raises(ValueError, match="width"):
+        mask_band((8, 8), start=1, width=-1)
     with pytest.raises(ValueError):
         mask_band((8, 8), start=1, width=2, orientation="diag")
+    # start must index a column (vertical) or a row (horizontal) of the image.
+    with pytest.raises(ValueError, match="start"):
+        mask_band((4, 4), start=9, width=2)
+    with pytest.raises(ValueError, match="start"):
+        mask_band((8, 20), start=8, width=1, orientation="horizontal")
+    with pytest.raises(ValueError, match="start"):
+        mask_band((20, 8), start=8, width=0)
+    assert not mask_band((8, 20), start=7, width=1, orientation="horizontal")[7].any()
+    for bad in (True, np.True_, 1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="start"):
+            mask_band((8, 8), start=bad, width=2)
+        with pytest.raises(ValueError, match="width"):
+            mask_band((8, 8), start=1, width=bad)
+    # A band that runs past the far edge is clipped; numpy ints are accepted.
+    clipped = mask_band((4, 6), start=np.int64(4), width=np.int32(10))
+    assert np.array_equal(clipped, np.arange(6)[None, :].repeat(4, axis=0) < 4)
+    assert mask_band((4, 6), start=2, width=0).all()
 
 
 def test_noise():
