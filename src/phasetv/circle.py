@@ -4,7 +4,9 @@ Angles are stored as their canonical representant in [-pi, pi).  Only
 differences modulo 2*pi are meaningful for such data, so every derived
 quantity here (distances, filtered differences) is built from the wrap
 operation.  All functions accept floats or numpy arrays; scalar input
-gives scalar output.
+gives scalar output.  Internally the sweep's theta is wrapped by a
+clamp-free floor-half form, canonical outputs by the same form clamped,
+and the energy's |theta| by a rint form.
 """
 
 from __future__ import annotations
@@ -60,38 +62,33 @@ MIXED_DIFF = DifferenceFilter((-1.0, 1.0, 1.0, -1.0), "mixed")
 FILTERS = (FIRST_DIFF, SECOND_DIFF, MIXED_DIFF)
 
 
-def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
-    """Wrap without validation; for internal hot paths.
+def _signed_wrap(t, out=None, tmp=None) -> np.ndarray:
+    """``t - 2*pi*floor(t / (2*pi) + 1/2)`` in five passes, without a clamp.
 
-    Computes ``(s - 2*pi*floor(s / (2*pi))) - pi`` with ``s = t + pi``, in
-    ufuncs writing into ``out`` (which may be ``arr`` itself) and the
-    scratch array ``tmp``; either is allocated when not given.  These are
-    the roundings of ``np.mod(t + pi, 2*pi) - pi``: for |t| < 15*pi the
-    product 2*pi*k is exact and the difference is exact or rounded as
-    np.mod rounds it, so the result is bit-equal to the mod form, at a
-    fraction of its cost.  Beyond that, as for the theta of the solver's
-    lifted iterate (up to about 40*pi), 2*pi*k rounds at the scale of t
-    and the result is within 2 ulp of t of the mod form, still in
-    [-pi, pi).  The wrap is not idempotent on [-pi, pi): ``(t + pi) - pi``
-    can drop low bits of a small t.  Non-finite input gives NaN.
-    """
-    arr = np.asarray(arr, dtype=float)
+    Writes into ``out`` (may be ``t``) with the scratch ``tmp``, either
+    allocated when not given.  Near an odd multiple of pi the result may
+    pass either end of [-pi, pi) by the rounding of 2*pi*k; an exact tie
+    maps to -pi, and [-pi, pi) is kept bit for bit but for its top ulp.
+    Non-finite input gives NaN."""
     if out is None:
-        out = np.empty(arr.shape)
+        out = np.empty(np.shape(t))
     if tmp is None:
-        tmp = np.empty(arr.shape)
-    shifted = np.add(arr, np.pi, out=tmp)
-    k = np.multiply(shifted, _INV_TWO_PI, out=out)
+        tmp = np.empty(np.shape(t))
+    k = np.multiply(t, _INV_TWO_PI, out=tmp)
+    k += 0.5
     np.floor(k, out=k)
-    np.multiply(k, TWO_PI, out=k)
-    w = np.subtract(shifted, k, out=out)
-    w -= np.pi
-    # The rounded quotient can pick the neighbouring k for an input within
-    # a few ulps of an odd multiple of pi, which leaves w a few ulps below
-    # -pi or at/above pi.  Both stray ends are the point -pi up to that
-    # rounding, so both are clamped to it; a one-sided clamp lets values
-    # just below -pi through.  Stray entries are rare, and a boolean
-    # assignment touches only them.
+    k *= TWO_PI
+    return np.subtract(t, k, out=out)
+
+
+def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
+    """:func:`_signed_wrap` clamped to [-pi, pi), without validation, for
+    outputs that must be canonical angles.  It is cyclically within 2e-15
+    or 2 ulp of t of ``np.mod(t + pi, 2*pi) - pi``."""
+    arr = np.asarray(arr, dtype=float)
+    w = _signed_wrap(arr, out=out, tmp=tmp)
+    # Both stray ends are the point -pi up to the rounding of 2*pi*k; a
+    # boolean assignment touches only the rare stray entries.
     w[w < -np.pi] = -np.pi
     w[w >= np.pi] = -np.pi
     return w
@@ -169,19 +166,20 @@ def _tap_sum(cols, out=None) -> np.ndarray:
 
 
 def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:
-    """Wrapped inner product of patches with the taps of their filter:
-    :func:`_tap_sum` reduced to [-pi, pi) by :func:`_wrap_array`."""
+    """Signed wrapped inner product of patches with the taps of their
+    filter: :func:`_tap_sum` reduced by the clamp-free
+    :func:`_signed_wrap`."""
     theta = _tap_sum(cols, out)
-    return _wrap_array(theta, out=theta, tmp=tmp)
+    return _signed_wrap(theta, out=theta, tmp=tmp)
 
 
 def _near_wrap(t, tmp) -> np.ndarray:
     """Overwrite ``t`` with ``t - 2*pi*rint(t / (2*pi))`` and return it.
 
     Four in-place passes with the scratch array ``tmp``.  Unlike
-    :func:`_wrap_array` it neither emulates ``np.mod`` nor clamps, so an
-    odd multiple of pi may land on either end of [-pi, pi]: read only its
-    absolute value or its square.  Non-finite input gives NaN.
+    :func:`_signed_wrap` it rounds a tie to even, so an odd multiple of pi
+    may land on either end of [-pi, pi]: read only its absolute value or
+    its square.  Non-finite input gives NaN.
     """
     k = np.multiply(t, _INV_TWO_PI, out=tmp)
     np.rint(k, out=k)

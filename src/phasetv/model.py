@@ -19,8 +19,7 @@ window of the image per stencil position, so it needs no coordinates;
 only a partial lattice carries flat pixel indices.  ``energy`` and the
 solver's energy trace both sum the groups in :func:`energy_from_groups`,
 which reads a whole lattice in place through its strided windows and,
-since it needs only |wrap theta|, wraps with the clamp-free
-``circle._abs_wrap`` instead of the solver's ``np.mod``-exact wrap.
+since it needs only |wrap theta|, takes it with ``circle._abs_wrap``.
 """
 
 from __future__ import annotations
@@ -282,7 +281,7 @@ def _scratch(groups) -> list[np.ndarray]:
     return [np.empty(width) for _ in range(max(k.arity for k in FILTERS) + 2)]
 
 
-def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None) -> float:
+def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_data=None) -> float:
     """The energy at the 2-D image ``x``, summed over ``groups`` in order.
 
     A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
@@ -292,7 +291,8 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None) -> fl
     and the data term are gathered first.  Either way the tap sums fill one
     contiguous buffer in stencil order, so both forms give the same bits.
     ``scratch`` optionally holds reusable buffers as made by
-    ``_scratch(groups)``.  Non-finite values give NaN.
+    ``_scratch(groups)``, and ``f_data`` the data term's reference
+    ``gather(f, data_group)[0]``.  Non-finite values give NaN.
     """
     if scratch is None:
         scratch = _scratch(groups)
@@ -303,7 +303,9 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None) -> fl
             n = len(g)
             theta, tmp = theta_buf[:n], tmp_buf[:n]
             if g.filt is None:
-                np.subtract(gather(x, g, columns)[0], gather(f, g, columns[1:])[0], out=theta)
+                if f_data is None:
+                    f_data = gather(f, g, columns[1:])[0]
+                np.subtract(gather(x, g, columns)[0], f_data, out=theta)
                 total += float(np.sum(np.square(_near_wrap(theta, tmp), out=theta)))
                 continue
             if g.index is None:

@@ -20,13 +20,13 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     """theta and the signed step of the difference prox, per patch.
 
     ``cols`` holds the patches as one array per stencil position.  Returns
-    ``(theta, step)`` with ``theta = wrap(<v, taps>)`` and
+    ``(theta, step)`` with ``theta`` the signed wrap of ``<v, taps>`` and
     ``step = clip(theta / |taps|^2, -lam, lam)``; the shrunk patches are
     ``v - step * taps``, up to multiples of 2*pi.  Since IEEE division is
     sign-symmetric, the clip gives the bits of
     ``copysign(min(lam, |theta| / |taps|^2), theta)``, -0.0 and the
-    antipodal theta included, in two passes instead of four.  Invalid
-    operations are silenced; non-finite input gives a NaN theta and step.
+    antipodal theta included.  Invalid operations are silenced;
+    non-finite input gives a NaN theta and step.
     """
     with np.errstate(invalid="ignore"):
         theta = _theta_columns(cols, out=theta_out, tmp=step_out)
@@ -65,8 +65,8 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
     scratch arrays of the column length.  Raises ``ValueError`` before
     writing anything if a patch holds a non-finite value.  In the
     (measure-zero) antipodal case, where the prox is two-valued, the step
-    always follows the sign of the wrapped theta (-pi), which is what the
-    sweep solver requires for determinism.
+    always follows the sign of the wrapped theta (-pi for an exact tie),
+    which is what the sweep solver requires for determinism.
     """
     theta, step = _prox_step(cols, lam, filt, theta_buf, step_buf)
     # A NaN step (from non-finite input) makes the sum NaN; finite steps
@@ -94,8 +94,8 @@ def _prox_data_into(g, f, lam: float, a, b) -> None:
     are those of the closed form: ``d = g - f``, ``v = sign(d)`` zeroed
     where ``|d| <= pi``, then ``wrap((g + lam*f) / (1 + lam) + c*v)`` with
     ``c = 2*pi * lam/(1+lam)``.  ``c*v`` is formed as ``c * (|d| > pi) *
-    sign(d)``: the same values, except that a zeroed entry may be -0.0,
-    which the wrap cannot tell from +0.0, since it first adds pi.
+    sign(d)``, whose zeroed entries may be -0.0; adding one leaves a -0.0
+    average at -0.0, where the closed form gives +0.0.
     """
     d = np.subtract(g, f, out=a)
     far = np.greater(np.abs(d, out=b), np.pi, out=b)

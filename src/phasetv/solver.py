@@ -10,45 +10,30 @@ after every group (projection onto the constraint set); in noisy mode
 the data term is a group of its own, handled by the componentwise prox
 of the wrapped quadratic.
 
-The sweep kernel works column by column on the lattice groups of
-:func:`phasetv.model.stencil_groups`; no stencil coordinates are built.
-A group that holds its whole lattice (every difference group in noisy
-mode and under ``mask_subsample3``) is gathered by one
-strided copy per stencil position, ``np.copyto(buf, x[rows, cols])``,
-into scratch buffers reused across groups and sweeps, and scattered back
-by the reverse copy.  Only partial lattices, such as the stencils around
-a disc, use the index form and go through ``np.take`` and ``x[c] = v``.
-Between gather and scatter the arithmetic runs on the contiguous
-buffers: theta from the explicit taps of the filter family, then the
-shrink in place (``prox.shrink_columns``), whose step is one division
-and one clip.  The data term is gathered the same way, into the first
-column buffer, and its prox (``prox._prox_data_into``) runs in place
-there with the theta and step buffers as scratch, so it allocates no
-image-sized float arrays.  Running the ufuncs on the strided views
-directly instead measured slower, since every pass then reads strided
-memory.  The projection rewrites only the known pixels the group
-touched, from a small per-group index and value array, instead of every
-known pixel of the image.
+A group step gathers the lattice groups of
+:func:`phasetv.model.stencil_groups` into contiguous scratch buffers
+reused across groups and sweeps (a whole lattice by one strided copy per
+stencil position, a partial one by ``np.take``), runs the shrink of
+``prox.shrink_columns`` or the data prox in place there, and scatters
+the result back.  The projection rewrites only the known pixels the
+group touched.
 
 The difference groups run on a lifted iterate: a group step leaves its
 pixels unwrapped, since the next step needs only some representative of
 each angle (theta is wrapped and the taps are integers).  A group moves
 a pixel by at most pi/2, so within a sweep |x| stays below about 10*pi
 and |theta| before its wrap below about 40*pi.  After the last
-difference group of each sweep the whole image is wrapped once, in
-place.  In noisy mode that happens before the data term, whose
-shorter-arc test needs representatives in [-pi, pi).  In noiseless mode
-the known pixels are then put back from ``f``: the wrap computes
-``(t + pi) - pi``, which drops low bits of a small ``t``, and the
-constraint holds the data bit for bit.  The energy is recorded after
-the wrap, on the same array the solver returns, with
-:func:`phasetv.model.energy_from_groups` on the solver's groups and
-scratch buffers, the loop :func:`phasetv.model.energy` runs, so the last
-trace entry equals ``energy`` of the returned image bit for bit.  That
-loop forms the tap sums of whole lattices from strided views and takes
-|wrap theta| by a clamp-free rint form, cheaper than the sweep's wrap;
-nothing in the sweep reads the energy, so recording it cannot change
-the iterate.
+difference group of each sweep the image is wrapped once, in place, and
+in noisy mode before the data term, whose shorter-arc test needs
+representatives in [-pi, pi).  In noiseless mode that wrap covers only
+the rows that hold an unknown pixel: every other pixel is known and
+already back at its data.  The known pixels inside those rows are then
+put back from ``f``: the wrap keeps every angle in [-pi, pi) except the
+one an ulp below pi, which it maps to -pi.  The energy is recorded after the wrap,
+on the array the solver returns, by the loop that
+:func:`phasetv.model.energy` runs, so the last trace entry equals
+``energy`` of the returned image bit for bit; nothing in the sweep
+reads it, so recording it cannot change the iterate.
 """
 
 from __future__ import annotations
@@ -155,14 +140,15 @@ def run_cppa(
     known_flat = known.reshape(-1)
     # The difference groups with their noiseless projection: the flat
     # indices and data of the known pixels the group touches, reset after
-    # each group step.  The data term, if any, runs last with its data.
+    # each group step.  The data term, if any, runs last with its data,
+    # which the energy reads as well.
     steps = []
-    data = None
+    data = f_data = None
     for g in groups:
         if len(g) == 0:
             continue
         if g.filt is None:
-            data = (g, gather(f, g)[0])
+            data, f_data = g, gather(f, g)[0]
         elif noiseless:
             touched = np.concatenate(g.flat_index(n_cols, known))
             steps.append((g, touched, f_flat[touched]))
@@ -171,6 +157,13 @@ def run_cppa(
     scratch = _scratch(groups)
     *columns, theta_buf, step_buf = scratch
     wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
+    # The flat range of the rows that hold an unknown pixel; noisy mode
+    # moves every pixel.  Outside it every pixel is known, and the
+    # projection after each group step has already put it back from f.
+    band = range(0, x.size)
+    if noiseless:
+        moving = np.flatnonzero(~known.all(axis=1))
+        band = range(moving[0] * n_cols, (moving[-1] + 1) * n_cols) if moving.size else range(0)
 
     def scatter(g, vals):
         if g.index is None:
@@ -183,15 +176,15 @@ def run_cppa(
     def wrap_iterate():
         # Block by block: the scratch stays small and the wrap's passes
         # stay in cache.
-        for lo in range(0, x.size, wrap_tmp.size):
-            hi = lo + wrap_tmp.size
+        for lo in range(band.start, band.stop, wrap_tmp.size):
+            hi = min(lo + wrap_tmp.size, band.stop)
             block = x[lo:hi]
             _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
             if noiseless:
                 np.copyto(block, f_flat[lo:hi], where=known_flat[lo:hi])
 
     def record(trace, sweep):
-        value = energy_from_groups(x2d, f, groups, scratch)
+        value = energy_from_groups(x2d, f, groups, scratch, f_data)
         if not np.isfinite(value):
             raise NumericalError(f"energy became non-finite at sweep {sweep}")
         trace.append((sweep, value))
@@ -217,11 +210,10 @@ def run_cppa(
         if data is not None:
             # Data term: prox parameter 2*lam because the closed form
             # weighs the fidelity without the usual 1/2.
-            g, f_data = data
-            n = len(g)
-            vals = gather(x2d, g, columns)
+            n = len(data)
+            vals = gather(x2d, data, columns)
             _prox_data_into(vals[0], f_data, 2.0 * lam, theta_buf[:n], step_buf[:n])
-            scatter(g, vals)
+            scatter(data, vals)
         sweep = k + 1
         if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
             record(trace, sweep)

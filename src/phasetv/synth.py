@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import _check_int, _wrap_array, dist
+from .circle import _check_int, _check_real, _wrap_array, dist
 
 
 def gen_atan2(n: int) -> np.ndarray:
@@ -67,10 +67,17 @@ def mask_subsample3(shape) -> np.ndarray:
 
 
 def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
-    """Destroy exactly round(fraction_lost * N * M) pixels, uniformly."""
+    """Destroy exactly round(fraction_lost * N * M) pixels, uniformly.
+
+    ``fraction_lost`` must be a real in [0, 1] and ``seed`` a nonnegative
+    integer, neither a bool, else a ``ValueError`` names the argument."""
     n_rows, n_cols = int(shape[0]), int(shape[1])
+    fraction_lost = _check_real(fraction_lost, "fraction_lost")
     if not (0.0 <= fraction_lost <= 1.0):
-        raise ValueError("fraction_lost must lie in [0, 1]")
+        raise ValueError(f"fraction_lost must lie in [0, 1], got {fraction_lost!r}")
+    seed = _check_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     count = int(round(fraction_lost * n_rows * n_cols))
     rng = np.random.default_rng(seed)
     lost = rng.choice(n_rows * n_cols, size=count, replace=False)

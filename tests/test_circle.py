@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from phasetv import (
     wrap,
 )
 
-from phasetv.circle import _abs_wrap
+from phasetv.circle import _abs_wrap, _signed_wrap
 
 from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
 
@@ -68,6 +70,47 @@ def test_wrap_boundaries_stay_in_range_and_match_mod_form():
     # agree only to a couple of ulps of t; below that the bound is 2e-15.
     tol = np.maximum(2e-15, 2.0 * np.spacing(np.abs(t)))
     assert np.all(np.abs(_mod_wrap(w - _mod_wrap(t))) <= tol)
+
+
+def test_wrap_keeps_canonical_angles_bitwise():
+    rng = np.random.default_rng(6)
+    u = np.concatenate([
+        rng.uniform(-np.pi, np.pi, 100000),
+        [0.0, -0.0, 1e-300, -1e-300, -np.pi, np.nextafter(-np.pi, 0.0)],
+    ])
+    assert np.array_equal(wrap(u).view(np.uint64), u.view(np.uint64))
+    # The exact ties pi and -pi both map to -pi.
+    assert wrap(np.pi) == -np.pi and wrap(-np.pi) == -np.pi
+
+
+def test_signed_wrap_matches_wrap_mod_two_pi():
+    rng = np.random.default_rng(7)
+    odd = np.arange(-41, 42, 2) * np.pi
+    t = np.concatenate([
+        odd,
+        np.nextafter(odd, np.inf),
+        np.nextafter(odd, -np.inf),
+        np.arange(-20, 21) * TWO_PI,
+        [0.0, -0.0, 1e-300, -1e-300],
+        rng.uniform(-41 * np.pi, 41 * np.pi, 20000),
+        rng.uniform(-np.pi, np.pi, 2000),
+    ])
+    tmp = np.empty_like(t)
+    got = _signed_wrap(t, out=t.copy(), tmp=tmp)
+    tol = np.maximum(2e-15, 2.0 * np.spacing(np.abs(t)))
+    assert np.all(np.abs(_mod_wrap(got - wrap(t))) <= tol)
+    # No clamp: the result may pass either end of [-pi, pi) by the
+    # rounding of 2*pi*k, never by more than the tolerance.
+    assert np.all(np.abs(got) <= np.pi + tol)
+    assert np.array_equal(_signed_wrap(np.array([np.pi, -np.pi])), [-np.pi, -np.pi])
+    # In place, and non-finite input gives NaN under the errstate the
+    # sweep runs it in, with no warning escaping.
+    bad = np.array([np.nan, np.inf, -np.inf, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(invalid="ignore"):
+            assert _signed_wrap(bad, out=bad, tmp=np.empty(4)) is bad
+    assert np.isnan(bad[:3]).all() and bad[3] == 1.0
 
 
 def test_abs_wrap_matches_abs_of_wrap():

@@ -138,6 +138,12 @@ def test_error_exit_codes(tmp_path, capsys):
     assert "start" in capsys.readouterr().err
     assert not band.exists()
 
+    lost = tmp_path / "lost.pgm"
+    assert main(["mask", "random", "--rows", "4", "--cols", "4", "--fraction", "0.5",
+                 "--seed", "-1", "-o", str(lost)]) == 1
+    assert "seed" in capsys.readouterr().err
+    assert not lost.exists()
+
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 

@@ -16,6 +16,7 @@ from phasetv import (
     initialize,
     lambda_schedule,
     mask_band,
+    mask_disc,
     prox_data,
     run_cppa,
     wrap,
@@ -108,14 +109,14 @@ def test_constraint_pixels_bit_exact():
     u = rng.uniform(-np.pi, np.pi, (10, 10))
     known = rng.random((10, 10)) < 0.6
     w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
-    first_known = tuple(np.argwhere(known)[0])
-    # The per-sweep wrap computes (t + pi) - pi, which keeps every value of
-    # a uniform draw on [-pi, pi) but drops low bits of a small angle and
-    # turns -0.0 into 0.0; only the restore from f keeps those bits, and
-    # array_equal would take 0.0 for -0.0.
+    first_known, second_known = (tuple(p) for p in np.argwhere(known)[:2])
+    # The per-sweep wrap maps the angle one ulp below pi to -pi; only the
+    # restore from f keeps it.  Small angles and -0.0 must keep their bits
+    # too, which array_equal alone would not see for -0.0.
     for k in (0, 3, 6, 12, 300):
         f = u * 10.0**-k
         f[first_known] = -0.0
+        f[second_known] = np.nextafter(np.pi, 0.0)
         x0 = initialize(f, known, w)
         rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=20))
         assert np.array_equal(rep.image[known].view(np.uint64), f[known].view(np.uint64)), k
@@ -387,3 +388,53 @@ def test_global_phase_shift_commutes_with_restoration():
             assert np.max(dist(shifted.image, wrap(rep.image + c))) <= 1e-10, (i, kind)
             e, e_shifted = rep.energy_trace[-1][1], shifted.energy_trace[-1][1]
             assert abs(e_shifted - e) <= 1e-10 * max(1.0, e), (i, kind)
+
+
+def _whole_image_wrap_reference(x0, f, known, weights, cfg):
+    """Noiseless ``run_cppa`` with the once-per-sweep wrap and known-pixel
+    restore run over the whole image, in index form; no energy trace."""
+    x2d = np.array(x0, order="C")
+    x = x2d.reshape(-1)
+    f_flat = f.reshape(-1)
+    steps = [(g, np.concatenate(g.flat_index(f.shape[1], known)))
+             for g in stencil_groups(f.shape, known, weights, "noiseless") if len(g)]
+    for k in range(cfg.max_sweeps):
+        lam = lambda_schedule(k, cfg.lambda0)
+        for g, touched in steps:
+            vals = gather(x2d, g)
+            shrink_columns(vals, lam * g.weight, g.filt)
+            for c, v in zip(g.flat_index(f.shape[1]), vals):
+                x[c] = v
+            x[touched] = f_flat[touched]
+        x2d[...] = np.where(known, f, wrap(x2d))
+    return x2d
+
+
+def test_row_band_wrap_matches_whole_image_wrap():
+    # Known pixels fill whole rows above and below the unknown ones.  The
+    # data sits around the seam at -pi and lambda0 is large, so unwrapped
+    # group steps carry pixels of every band row out of [-pi, pi).
+    rng = np.random.default_rng(41)
+    shape = (20, 17)
+    band = mask_band(shape, start=6, width=5, orientation="horizontal")
+    first_row = np.ones(shape, bool)
+    first_row[0, 9] = False
+    last_row = np.ones(shape, bool)
+    last_row[-1, 4] = False
+    masks = {
+        "band": band,
+        "disc": mask_disc(shape, 5.0),
+        "first row": first_row,
+        "last row": last_row,
+        "all known": np.ones(shape, bool),
+        "vertical band": mask_band(shape, start=3, width=4),
+    }
+    w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    cfg = SolverConfig(lambda0=3.0, max_sweeps=8)
+    for name, known in masks.items():
+        for trial in range(3):
+            f = wrap(np.pi + rng.normal(0.0, 0.8, shape))
+            x0 = np.where(known, f, rng.uniform(-np.pi, np.pi, shape))
+            got = run_cppa(x0, f, known, w, "noiseless", cfg).image
+            want = _whole_image_wrap_reference(x0, f, known, w, cfg)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (name, trial)

@@ -91,6 +91,17 @@ def test_random_mask():
     assert not np.array_equal(m, mask_random((432, 426), 0.2, seed=4))
     with pytest.raises(ValueError):
         mask_random((5, 5), 1.5, seed=0)
+    # Both arguments are checked as numbers, with errors that name them.
+    for bad in (True, np.True_, "0.5", None, 1 + 0j, np.nan, np.inf, -0.1):
+        with pytest.raises(ValueError, match="fraction_lost"):
+            mask_random((4, 4), bad, seed=1)
+    for bad in (True, False, 1.5, 2.0, "1", None, -1, np.int64(-3)):
+        with pytest.raises(ValueError, match="seed"):
+            mask_random((4, 4), 0.5, seed=bad)
+    # numpy numbers are accepted and give the masks of their Python values.
+    assert np.array_equal(mask_random((6, 7), np.float32(0.25), seed=np.int64(5)),
+                          mask_random((6, 7), 0.25, seed=5))
+    assert mask_random((4, 4), 0, seed=0).all() and not mask_random((4, 4), 1, seed=0).any()
 
 
 def test_disc_mask():
