@@ -83,8 +83,7 @@ def _signed_wrap(t, out=None, tmp=None) -> np.ndarray:
 
 def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
     """:func:`_signed_wrap` clamped to [-pi, pi), without validation, for
-    outputs that must be canonical angles.  It is cyclically within 2e-15
-    or 2 ulp of t of ``np.mod(t + pi, 2*pi) - pi``."""
+    outputs that must be canonical angles."""
     arr = np.asarray(arr, dtype=float)
     w = _signed_wrap(arr, out=out, tmp=tmp)
     # Both stray ends are the point -pi up to the rounding of 2*pi*k; a
@@ -92,6 +91,12 @@ def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
     w[w < -np.pi] = -np.pi
     w[w >= np.pi] = -np.pi
     return w
+
+
+def _scalar(a):
+    """``a`` as a float when it is 0-d, else ``a`` itself: scalar input
+    gives scalar output."""
+    return float(a) if np.ndim(a) == 0 else a
 
 
 def _first_invalid_angle(x: np.ndarray, where=None):
@@ -139,6 +144,18 @@ def _check_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_shape(shape) -> tuple[int, int]:
+    """``shape`` as (rows, cols); ``ValueError`` naming it unless it holds
+    two positive Python or numpy integers (not bools)."""
+    try:
+        n_rows, n_cols = (_check_int(n, "shape") for n in shape)
+        if n_rows >= 1 and n_cols >= 1:
+            return n_rows, n_cols
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"shape must be two positive integers, got {shape!r}")
 
 
 def _tap_sum(cols, out=None) -> np.ndarray:
@@ -215,17 +232,11 @@ def wrap(t):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("wrap requires finite input")
-    w = _wrap_array(arr)
-    if arr.ndim == 0:
-        return float(w)
-    return w
+    return _scalar(_wrap_array(arr))
 
 
 def dist(p, q):
     """Geodesic distance on the circle, |wrap(q - p)|, in [0, pi]."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    d = np.abs(wrap(q - p))
-    if np.ndim(d) == 0:
-        return float(d)
-    return d
+    return _scalar(np.abs(wrap(q - p)))

@@ -5,15 +5,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import fileio, synth
 from .initialization import _propagate
 from .model import Weights
 from .solver import NumericalError, SolverConfig, run_cppa
-
-_DEFAULT_ALPHA = "1,1,0,0"
-_DEFAULT_BETA = "1,1"
 
 
 def _floats(text: str, count: int, flag: str):
@@ -32,17 +27,18 @@ def _weights(args) -> Weights:
 
 
 def _print_config(args) -> None:
-    items = sorted(
-        (k, v) for k, v in vars(args).items() if k != "func" and not k.startswith("_")
-    )
+    items = sorted((k, v) for k, v in vars(args).items() if not k.startswith("_"))
     line = " ".join(f"{k}={v}" for k, v in items)
     print(f"config: {line}", file=sys.stderr)
 
 
-def _add_weight_flags(p) -> None:
-    p.add_argument("--alpha", default=_DEFAULT_ALPHA, metavar="A1,A2,A3,A4",
+def _add_problem_flags(p) -> None:
+    p.add_argument("-i", "--input", required=True)
+    p.add_argument("-m", "--mask", required=True)
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--alpha", default="1,1,0,0", metavar="A1,A2,A3,A4",
                    help="first-difference weights: horizontal, vertical, diagonal, anti-diagonal")
-    p.add_argument("--beta", default=_DEFAULT_BETA, metavar="B1,B2",
+    p.add_argument("--beta", default="1,1", metavar="B1,B2",
                    help="second-difference weights: horizontal, vertical")
     p.add_argument("--gamma", type=float, default=1.0, help="mixed-difference weight")
 
@@ -51,31 +47,26 @@ def _load_pair(args):
     return fileio.read_phase(args.input), fileio.read_mask(args.mask)
 
 
-def cmd_synth(args) -> int:
-    _print_config(args)
-    if args.kind == "atan2":
-        image = synth.gen_atan2(args.size)
-    elif args.kind == "ramp":
-        image = synth.gen_wrapped_ramp((args.rows, args.cols), args.slope, args.direction)
-    else:
-        image = synth.gen_blocks((args.rows, args.cols))
-    fileio.write_phase(args.output, image)
-    return 0
+def cmd_generate(args) -> None:
+    args._write(args.output, args._build(args))
 
 
-def cmd_mask(args) -> int:
-    _print_config(args)
-    shape = (args.rows, args.cols)
-    if args.kind == "subsample3":
-        known = synth.mask_subsample3(shape)
-    elif args.kind == "random":
-        known = synth.mask_random(shape, args.fraction, args.seed)
-    elif args.kind == "disc":
-        known = synth.mask_disc(shape, args.radius)
-    else:
-        known = synth.mask_band(shape, args.start, args.width, args.orientation)
-    fileio.write_mask(args.output, known)
-    return 0
+def _generators(sub, command: str, help: str, write, default):
+    """Add the ``command`` subparser and return ``add(kind, help, build,
+    dims)``, which adds its subcommand ``kind``: it writes ``build(args)``
+    to ``-o`` with ``write``.  Each flag in ``dims`` is an integer that
+    defaults to ``default``, or is required when ``default`` is None."""
+    kinds = sub.add_parser(command, help=help).add_subparsers(dest="kind", required=True)
+
+    def add(kind, help, build, dims=("--rows", "--cols")):
+        g = kinds.add_parser(kind, help=help)
+        for flag in dims:
+            g.add_argument(flag, type=int, default=default, required=default is None)
+        g.add_argument("-o", "--output", required=True)
+        g.set_defaults(_func=cmd_generate, _build=build, _write=write)
+        return g
+
+    return add
 
 
 def _initialize(f, known, weights):
@@ -85,15 +76,12 @@ def _initialize(f, known, weights):
     return x0
 
 
-def cmd_init(args) -> int:
-    _print_config(args)
+def cmd_init(args) -> None:
     f, known = _load_pair(args)
     fileio.write_phase(args.output, _initialize(f, known, _weights(args)))
-    return 0
 
 
-def cmd_inpaint(args) -> int:
-    _print_config(args)
+def cmd_inpaint(args) -> None:
     f, known = _load_pair(args)
     weights = _weights(args)
     x0 = _initialize(f, known, weights)
@@ -108,26 +96,23 @@ def cmd_inpaint(args) -> int:
     if args.trace:
         rows = "".join(f"{s},{e:.17g}\n" for s, e in report.energy_trace)
         fileio.write_bytes_atomic(args.trace, b"sweep,energy\n" + rows.encode())
-    if args.render_gray:
-        fileio.write_bytes_atomic(args.render_gray, fileio.render_gray(report.image))
-    if args.render_hue:
-        fileio.write_bytes_atomic(args.render_hue, fileio.render_hue(report.image))
+    for path, render in ((args.render_gray, fileio.render_gray),
+                         (args.render_hue, fileio.render_hue)):
+        if path:
+            fileio.write_bytes_atomic(path, render(report.image))
     print(
         f"done: sweeps={report.sweeps}"
         f" energy={report.energy_trace[-1][1]:#.6g}"
         f" wall={report.wall_time:.2f}s",
         file=sys.stderr,
     )
-    return 0
 
 
-def cmd_metrics(args) -> int:
-    _print_config(args)
+def cmd_metrics(args) -> None:
     x = fileio.read_phase(args.result)
     y = fileio.read_phase(args.reference)
     mse, max_err = synth.cyclic_error(x, y)
     print(f"mse={mse:#.6g} max={max_err:#.6g}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,90 +122,65 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic phase image")
-    gen = p.add_subparsers(dest="kind", required=True)
-    g = gen.add_parser("atan2", help="angular coordinate field")
-    g.add_argument("--size", type=int, default=128)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_synth)
-    g = gen.add_parser("ramp", help="wrapped linear ramp")
-    g.add_argument("--rows", type=int, default=128)
-    g.add_argument("--cols", type=int, default=128)
+    add = _generators(sub, "synth", "generate a synthetic phase image", fileio.write_phase, 128)
+    add("atan2", "angular coordinate field", lambda a: synth.gen_atan2(a.size), ("--size",))
+    g = add("ramp", "wrapped linear ramp",
+            lambda a: synth.gen_wrapped_ramp((a.rows, a.cols), a.slope, a.direction))
     g.add_argument("--slope", type=float, required=True, help="radians per pixel")
     g.add_argument("--direction", choices=("horizontal", "vertical"), default="horizontal")
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_synth)
-    g = gen.add_parser("blocks", help="constant blocks plus a wrapped ramp block")
-    g.add_argument("--rows", type=int, default=128)
-    g.add_argument("--cols", type=int, default=128)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_synth)
+    add("blocks", "constant blocks plus a wrapped ramp block",
+        lambda a: synth.gen_blocks((a.rows, a.cols)))
 
-    p = sub.add_parser("mask", help="generate a mask (PGM: 0 unknown, 255 known)")
-    gen = p.add_subparsers(dest="kind", required=True)
-    g = gen.add_parser("subsample3", help="keep every third row and column")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--cols", type=int, required=True)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_mask)
-    g = gen.add_parser("random", help="lose a random pixel fraction")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--cols", type=int, required=True)
+    add = _generators(sub, "mask", "generate a mask (PGM: 0 unknown, 255 known)",
+                      fileio.write_mask, None)
+    add("subsample3", "keep every third row and column",
+        lambda a: synth.mask_subsample3((a.rows, a.cols)))
+    g = add("random", "lose a random pixel fraction",
+            lambda a: synth.mask_random((a.rows, a.cols), a.fraction, a.seed))
     g.add_argument("--fraction", type=float, required=True)
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_mask)
-    g = gen.add_parser("disc", help="centered circular unknown region")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--cols", type=int, required=True)
+    g = add("disc", "centered circular unknown region",
+            lambda a: synth.mask_disc((a.rows, a.cols), a.radius))
     g.add_argument("--radius", type=float, required=True)
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_mask)
-    g = gen.add_parser("band", help="strip of unknown rows or columns")
-    g.add_argument("--rows", type=int, required=True)
-    g.add_argument("--cols", type=int, required=True)
+    g = add("band", "strip of unknown rows or columns",
+            lambda a: synth.mask_band((a.rows, a.cols), a.start, a.width, a.orientation))
     g.add_argument("--start", type=int, required=True)
     g.add_argument("--width", type=int, required=True)
     g.add_argument("--orientation", choices=("vertical", "horizontal"), default="vertical")
-    g.add_argument("-o", "--output", required=True)
-    g.set_defaults(func=cmd_mask)
 
     p = sub.add_parser("init", help="fill the unknown region by zero-difference propagation")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-m", "--mask", required=True)
-    p.add_argument("-o", "--output", required=True)
-    _add_weight_flags(p)
-    p.set_defaults(func=cmd_init)
+    _add_problem_flags(p)
+    p.set_defaults(_func=cmd_init)
 
     p = sub.add_parser("inpaint", help="initialize, then run the cyclic proximal solver")
-    p.add_argument("-i", "--input", required=True)
-    p.add_argument("-m", "--mask", required=True)
-    p.add_argument("-o", "--output", required=True)
-    _add_weight_flags(p)
-    p.add_argument("--sweeps", type=int, default=700)
-    p.add_argument("--lambda0", type=float, default=float(np.pi / 2))
+    _add_problem_flags(p)
+    p.add_argument("--sweeps", type=int, default=SolverConfig.max_sweeps)
+    p.add_argument("--lambda0", type=float, default=SolverConfig.lambda0)
     p.add_argument("--noisy", action="store_true",
                    help="treat known pixels as noisy observations instead of constraints")
-    p.add_argument("--record-every", type=int, default=1, dest="record_every")
+    p.add_argument("--record-every", type=int, default=SolverConfig.record_energy_every,
+                   dest="record_every")
     p.add_argument("--trace", help="write the energy trace CSV here")
     p.add_argument("--render-gray", help="write a grayscale PGM of the result")
     p.add_argument("--render-hue", help="write a hue-wheel PPM of the result")
-    p.set_defaults(func=cmd_inpaint)
+    p.set_defaults(_func=cmd_inpaint)
 
     p = sub.add_parser("metrics", help="cyclic mse/max between two phase files")
     p.add_argument("result")
     p.add_argument("reference")
-    p.set_defaults(func=cmd_metrics)
+    p.set_defaults(_func=cmd_metrics)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _print_config(args)
     try:
-        return args.func(args)
+        args._func(args)
     except (ValueError, OSError, NumericalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -37,12 +37,19 @@ def write_bytes_atomic(path, blob: bytes) -> None:
         raise
 
 
-def write_phase(path, x) -> None:
-    """Write a phase image; values must already lie in [-pi, pi)."""
+def _check_image(x) -> np.ndarray:
+    """``x`` as a float array; ``ValueError`` unless it is a nonempty 2-D
+    image, ``FormatError`` unless its values are angles in [-pi, pi)."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.size == 0:
         raise ValueError("expected a nonempty 2-D image")
     check_phase_values(x, "phase", error=FormatError)
+    return x
+
+
+def write_phase(path, x) -> None:
+    """Write a phase image; values must already lie in [-pi, pi)."""
+    x = _check_image(x)
     header = b"%s %d %d\n" % (_MAGIC, x.shape[0], x.shape[1])
     payload = np.ascontiguousarray(x, dtype="<f8").tobytes()
     write_bytes_atomic(path, header + payload)
@@ -86,10 +93,13 @@ def write_mask(path, known) -> None:
     known = np.asarray(known)
     if known.ndim != 2 or known.dtype != bool or known.size == 0:
         raise ValueError("expected a nonempty 2-D boolean mask")
-    rows, cols = known.shape
-    header = b"P5\n%d %d\n255\n" % (cols, rows)
-    raster = np.where(known, 255, 0).astype(np.uint8).tobytes()
-    write_bytes_atomic(path, header + raster)
+    write_bytes_atomic(path, _netpbm(b"P5", np.where(known, 255, 0).astype(np.uint8)))
+
+
+def _netpbm(magic: bytes, raster: np.ndarray) -> bytes:
+    """Binary PGM (``P5``) or PPM (``P6``) of an 8-bit raster whose first
+    two axes are rows and columns."""
+    return b"%s\n%d %d\n255\n" % (magic, raster.shape[1], raster.shape[0]) + raster.tobytes()
 
 
 def _pgm_tokens(data: bytes, count: int):
@@ -148,21 +158,15 @@ def read_mask(path) -> np.ndarray:
 
 def render_gray(x) -> bytes:
     """Binary PGM mapping [-pi, pi) affinely onto gray levels 0..255."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D image")
-    check_phase_values(x, "phase", error=FormatError)
+    x = _check_image(x)
     levels = np.floor((x + np.pi) / TWO_PI * 256.0)
     levels = np.clip(levels, 0, 255).astype(np.uint8)
-    return b"P5\n%d %d\n255\n" % (x.shape[1], x.shape[0]) + levels.tobytes()
+    return _netpbm(b"P5", levels)
 
 
 def render_hue(x) -> bytes:
     """Binary PPM coloring phase by the HSV hue wheel (cyclic colormap)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D image")
-    check_phase_values(x, "phase", error=FormatError)
+    x = _check_image(x)
     h = (x + np.pi) / TWO_PI * 6.0
     sextant = np.minimum(np.floor(h), 5.0)
     frac = h - sextant
@@ -176,4 +180,4 @@ def render_hue(x) -> bytes:
     blues = np.choose(sextant.astype(int), [zero, zero, t, one, one, q])
     rgb = np.stack([reds, greens, blues], axis=-1)
     raster = np.floor(rgb * 255.0 + 0.5).astype(np.uint8)
-    return b"P6\n%d %d\n255\n" % (x.shape[1], x.shape[0]) + raster.tobytes()
+    return _netpbm(b"P6", raster)

@@ -93,9 +93,9 @@ def _propagate(f, known, weights: Weights):
     n_rows, n_cols = f.shape
 
     # Flat indices address the filled mask, which has a border of _PAD
-    # never-filled pixels, and separately x, which has none: freeing a
-    # padded x after copying it out raised sweep-512 peak_rss_mb 126 -> 132
-    # MB.  x is C order for any layout of f and known, so x_flat is a view.
+    # never-filled pixels, and separately x, which has none, so that x is
+    # never copied out of a padded array.  x is C order for any layout of f
+    # and known, so x_flat is a view.
     width = n_cols + 2 * _PAD
     filled = np.zeros((n_rows + 2 * _PAD, width), dtype=bool)
     filled[_PAD:_PAD + n_rows, _PAD:_PAD + n_cols] = known

@@ -17,9 +17,7 @@ data term.  Indices are 0-based and the residue-0 class always comes
 first within a family.  Each group is a regular lattice, one strided
 window of the image per stencil position, so it needs no coordinates;
 only a partial lattice carries flat pixel indices.  ``energy`` and the
-solver's energy trace both sum the groups in :func:`energy_from_groups`,
-which reads a whole lattice in place through its strided windows and,
-since it needs only |wrap theta|, takes it with ``circle._abs_wrap``.
+solver's energy trace both sum the groups in :func:`energy_from_groups`.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .circle import (
     DifferenceFilter,
     _abs_wrap,
     _check_real,
+    _check_shape,
     _near_wrap,
     _tap_sum,
     check_phase_values,
@@ -161,20 +160,20 @@ class StencilGroup:
         """The stencils as an (n, arity, 2) int64 array of (row, col)
         pairs, in stencil order; built on each access."""
         return np.stack([np.stack(np.divmod(c, self.n_cols), axis=1).astype(np.int64)
-                         for c in self.flat_index(self.n_cols)], axis=1)
+                         for c in self.flat_index()], axis=1)
 
     def __len__(self) -> int:
         if self.index is not None:
             return self.index[0].size
         return self.shape[0] * self.shape[1]
 
-    def flat_index(self, n_cols: int, where=None) -> list[np.ndarray]:
+    def flat_index(self, where=None) -> list[np.ndarray]:
         """Index form: per stencil position, the flat indices of the
         group's pixels in stencil order; with ``where`` (a boolean image),
         only those of pixels where it is True."""
         if self.index is None:
             every = np.ones(self.shape, dtype=bool)
-            return [_window_ids(w, every if where is None else where[w], n_cols)
+            return [_window_ids(w, every if where is None else where[w], self.n_cols)
                     for w in self.windows]
         if where is None:
             return list(self.index)
@@ -209,9 +208,7 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
     lattice, which is always the case in ``noisy`` mode; otherwise it
     gets the index form.
     """
-    n_rows, n_cols = int(shape[0]), int(shape[1])
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("image must have at least one pixel")
+    n_rows, n_cols = _check_shape(shape)
     known = _check_mask((n_rows, n_cols), mask)
     if model_kind not in MODEL_KINDS:
         raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
@@ -316,6 +313,24 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_dat
     return total
 
 
+def _check_problem(x, f, mask, model_kind: str, start: bool = False):
+    """``(x, f, known)`` as float images and boolean mask, after the
+    checks that ``energy`` and ``run_cppa`` document (``stencil_groups``
+    checks ``model_kind``).  A solver ``start``, named ``x0``, is checked
+    only where it is known or finite."""
+    what = "x0" if start else "x"
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if x.shape != f.shape or x.ndim != 2:
+        raise ValueError(f"image shapes disagree: {x.shape} vs {f.shape}")
+    known = _check_mask(x.shape, mask)
+    check_phase_values(f, "f", where=known)
+    check_phase_values(x, what, where=known | np.isfinite(x) if start else None)
+    if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
+        raise ValueError(f"{what} must equal f on known pixels in noiseless mode")
+    return x, f, known
+
+
 def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     """Evaluate the model energy at ``x`` given data ``f``.
 
@@ -325,16 +340,6 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     on the known pixels exactly; that constraint is part of the model,
     not a soft term, and a violation raises ``ValueError``.
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x.shape != f.shape or x.ndim != 2:
-        raise ValueError(f"image shapes disagree: {x.shape} vs {f.shape}")
-    known = _check_mask(x.shape, mask)
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    check_phase_values(x, "x")
-    check_phase_values(f, "f", where=known)
-    if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
-        raise ValueError("noiseless model requires x = f on known pixels")
+    x, f, known = _check_problem(x, f, mask, model_kind)
     x = np.ascontiguousarray(x)
     return energy_from_groups(x, f, stencil_groups(x.shape, known, weights, model_kind))

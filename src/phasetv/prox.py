@@ -4,16 +4,14 @@ Two mappings are provided: the prox of ``lam * |wrap(<x, taps>)|`` for the
 three supported difference filters, and the prox of the wrapped quadratic
 data-fidelity term used by the noisy model.  Both have analytical
 solutions, and each has one in-place kernel that the sweep solver runs on
-its reused buffers: the difference prox computes its step in two passes,
-a division and a clip, and the data prox writes into its input with two
-scratch arrays.  The public functions wrap those same kernels.
+its reused buffers; the public functions wrap those same kernels.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .circle import TWO_PI, DifferenceFilter, _check_real, _theta_columns, _wrap_array
+from .circle import TWO_PI, DifferenceFilter, _check_real, _scalar, _theta_columns, _wrap_array
 
 
 def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
@@ -132,6 +130,4 @@ def prox_data(g, f, lam: float):
         raise ValueError(f"shape mismatch: {out.shape} vs {f.shape}")
     if lam != 0.0:
         _prox_data_into(out, f, lam, np.empty(out.shape), np.empty(out.shape))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _scalar(out)

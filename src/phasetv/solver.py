@@ -1,39 +1,15 @@
 """Cyclic proximal point solver.
 
-One sweep applies the proximal mapping of every stencil group in label
-order with the diminishing parameter ``lambda_k = lambda0 / (k + 1)``,
-which is square-summable but not summable.  Stencils inside one group
-are pixel-disjoint, so their proximal mappings are applied in a single
-vectorized gather/compute/scatter step whose result does not depend on
-stencil order.  In noiseless mode the known pixels are reset to the data
-after every group (projection onto the constraint set); in noisy mode
-the data term is a group of its own, handled by the componentwise prox
-of the wrapped quadratic.
-
-A group step gathers the lattice groups of
-:func:`phasetv.model.stencil_groups` into contiguous scratch buffers
-reused across groups and sweeps (a whole lattice by one strided copy per
-stencil position, a partial one by ``np.take``), runs the shrink of
-``prox.shrink_columns`` or the data prox in place there, and scatters
-the result back.  The projection rewrites only the known pixels the
-group touched.
-
-The difference groups run on a lifted iterate: a group step leaves its
-pixels unwrapped, since the next step needs only some representative of
-each angle (theta is wrapped and the taps are integers).  A group moves
-a pixel by at most pi/2, so within a sweep |x| stays below about 10*pi
-and |theta| before its wrap below about 40*pi.  After the last
-difference group of each sweep the image is wrapped once, in place, and
-in noisy mode before the data term, whose shorter-arc test needs
-representatives in [-pi, pi).  In noiseless mode that wrap covers only
-the rows that hold an unknown pixel: every other pixel is known and
-already back at its data.  The known pixels inside those rows are then
-put back from ``f``: the wrap keeps every angle in [-pi, pi) except the
-one an ulp below pi, which it maps to -pi.  The energy is recorded after the wrap,
-on the array the solver returns, by the loop that
-:func:`phasetv.model.energy` runs, so the last trace entry equals
-``energy`` of the returned image bit for bit; nothing in the sweep
-reads it, so recording it cannot change the iterate.
+One sweep applies the proximal mapping of every group of
+:func:`phasetv.model.stencil_groups` in label order, with the parameter
+``lambda_k = lambda0 / (k + 1)``.  In noiseless mode the known pixels a
+group touches are reset to the data after it; in noisy mode the data term
+is a group of its own.  The difference groups leave their pixels
+unwrapped, since the next step needs each angle only modulo 2*pi.  A
+group moves a pixel by at most pi/2, so within a sweep |x| stays below
+about 10*pi and |theta| below about 40*pi.  The image is wrapped once per
+sweep, before the data term, whose shorter-arc test needs angles in
+[-pi, pi).
 """
 
 from __future__ import annotations
@@ -43,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle import _check_int, _check_real, _wrap_array, check_phase_values
-from .model import Weights, _check_mask, _scratch, energy_from_groups, gather, stencil_groups
+from .circle import _check_int, _check_real, _wrap_array
+from .model import Weights, _check_problem, _scratch, energy_from_groups, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
 
 # Pixels per block of the once-per-sweep wrap: the block and its scratch
@@ -116,25 +92,21 @@ def run_cppa(
     the first bad pixel.  A non-finite ``x0`` on an unknown pixel raises
     :class:`NumericalError` at sweep 0.  Returns the final image, the
     energy trace as (sweep, energy) pairs (sweep 0 is the energy of
-    ``x0``), the executed sweep count and the wall time in seconds.
+    ``x0``), the executed sweep count and the wall time in seconds.  Each
+    energy is that of the image after the sweep's wrap, so the last one
+    is ``energy`` of the returned image bit for bit.
     """
     if config is None:
         config = SolverConfig()
-    x0 = np.asarray(x0, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x0.shape != f.shape or x0.ndim != 2:
-        raise ValueError(f"image shapes disagree: {x0.shape} vs {f.shape}")
-    known = _check_mask(x0.shape, mask)
-    check_phase_values(f, "f", where=known)
-    check_phase_values(x0, "x0", where=known | np.isfinite(x0))
+    x0, f, known = _check_problem(x0, f, mask, model_kind, start=True)
     noiseless = model_kind == "noiseless"
-    if noiseless and not np.array_equal(x0[known], f[known]):
-        raise ValueError("x0 must equal f on known pixels in noiseless mode")
-
     groups = stencil_groups(x0.shape, known, weights, model_kind)
 
     n_cols = x0.shape[1]
     x2d = np.array(x0, order="C")
+    if noiseless:
+        # x0 equals f on the known pixels but may differ in a zero's sign.
+        np.copyto(x2d, f, where=known)
     x = x2d.reshape(-1)
     f_flat = f.reshape(-1)
     known_flat = known.reshape(-1)
@@ -150,7 +122,7 @@ def run_cppa(
         if g.filt is None:
             data, f_data = g, gather(f, g)[0]
         elif noiseless:
-            touched = np.concatenate(g.flat_index(n_cols, known))
+            touched = np.concatenate(g.flat_index(known))
             steps.append((g, touched, f_flat[touched]))
         else:
             steps.append((g, None, None))
@@ -158,12 +130,31 @@ def run_cppa(
     *columns, theta_buf, step_buf = scratch
     wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
     # The flat range of the rows that hold an unknown pixel; noisy mode
-    # moves every pixel.  Outside it every pixel is known, and the
-    # projection after each group step has already put it back from f.
+    # moves every pixel.  Outside it every pixel is known and holds f: the
+    # projection after each group step puts back what the step moved.
     band = range(0, x.size)
     if noiseless:
         moving = np.flatnonzero(~known.all(axis=1))
         band = range(moving[0] * n_cols, (moving[-1] + 1) * n_cols) if moving.size else range(0)
+
+    def blocks():
+        # Block by block: the scratch stays small and the wrap's passes
+        # stay in cache.
+        for lo in range(band.start, band.stop, wrap_tmp.size):
+            yield lo, min(lo + wrap_tmp.size, band.stop)
+
+    # The known pixels in the band whose bits the wrap changes (an angle
+    # an ulp below pi goes to -pi), put back from f after every wrap.  The
+    # wrap leaves the other known pixels at f.
+    restore = []
+    with np.errstate(invalid="ignore"):  # f is not read on unknown pixels
+        for lo, hi in blocks() if noiseless else ():
+            block = f_flat[lo:hi]
+            wrapped = _wrap_array(block, tmp=wrap_tmp[:hi - lo])
+            changed = wrapped.view(np.int64) != block.view(np.int64)
+            restore.extend(lo + np.flatnonzero(changed & known_flat[lo:hi]))
+    restore = np.array(restore, dtype=np.intp)
+    f_restore = f_flat[restore]
 
     def scatter(g, vals):
         if g.index is None:
@@ -174,14 +165,10 @@ def run_cppa(
                 x[c] = v
 
     def wrap_iterate():
-        # Block by block: the scratch stays small and the wrap's passes
-        # stay in cache.
-        for lo in range(band.start, band.stop, wrap_tmp.size):
-            hi = min(lo + wrap_tmp.size, band.stop)
+        for lo, hi in blocks():
             block = x[lo:hi]
-            _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
-            if noiseless:
-                np.copyto(block, f_flat[lo:hi], where=known_flat[lo:hi])
+            _wrap_array(block, out=block, tmp=wrap_tmp[:hi - lo])
+        x[restore] = f_restore
 
     def record(trace, sweep):
         value = energy_from_groups(x2d, f, groups, scratch, f_data)

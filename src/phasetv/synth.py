@@ -4,7 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import _check_int, _check_real, _wrap_array, dist
+from .circle import _check_int, _check_real, _check_shape, _wrap_array, dist
+
+
+def _check_seed(seed) -> int:
+    seed = _check_int(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    return seed
 
 
 def gen_atan2(n: int) -> np.ndarray:
@@ -13,7 +20,7 @@ def gen_atan2(n: int) -> np.ndarray:
     Pixel (i, j) carries atan2(y_i, x_j); the result winds once around the
     circle along any loop enclosing the center.
     """
-    if n < 2:
+    if _check_int(n, "n") < 2:
         raise ValueError("need at least a 2x2 grid")
     coords = np.linspace(-0.5, 0.5, n)
     return _wrap_array(np.arctan2(coords[:, None], coords[None, :]))
@@ -25,7 +32,8 @@ def gen_wrapped_ramp(shape, slope: float, direction: str = "horizontal") -> np.n
     ``direction`` selects the coordinate the ramp follows: "horizontal"
     increases along columns, "vertical" along rows.
     """
-    n_rows, n_cols = int(shape[0]), int(shape[1])
+    n_rows, n_cols = _check_shape(shape)
+    slope = _check_real(slope, "slope")
     if not np.isfinite(slope):
         raise ValueError("slope must be finite")
     if direction == "horizontal":
@@ -46,7 +54,7 @@ def gen_blocks(shape=(128, 128)) -> np.ndarray:
     block increases linearly downward, spanning 4 pi radians (two wraps)
     from its first to its last row.
     """
-    n_rows, n_cols = int(shape[0]), int(shape[1])
+    n_rows, n_cols = _check_shape(shape)
     if n_rows < 64 or n_cols < 64:
         raise ValueError("blocks image needs shape at least 64x64")
     x = np.full((n_rows, n_cols), -2.0)
@@ -60,7 +68,7 @@ def gen_blocks(shape=(128, 128)) -> np.ndarray:
 
 def mask_subsample3(shape) -> np.ndarray:
     """Keep every third row and column: known iff row%3 == 0 and col%3 == 0."""
-    n_rows, n_cols = int(shape[0]), int(shape[1])
+    n_rows, n_cols = _check_shape(shape)
     rows = np.arange(n_rows) % 3 == 0
     cols = np.arange(n_cols) % 3 == 0
     return rows[:, None] & cols[None, :]
@@ -71,13 +79,11 @@ def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
 
     ``fraction_lost`` must be a real in [0, 1] and ``seed`` a nonnegative
     integer, neither a bool, else a ``ValueError`` names the argument."""
-    n_rows, n_cols = int(shape[0]), int(shape[1])
+    n_rows, n_cols = _check_shape(shape)
     fraction_lost = _check_real(fraction_lost, "fraction_lost")
     if not (0.0 <= fraction_lost <= 1.0):
         raise ValueError(f"fraction_lost must lie in [0, 1], got {fraction_lost!r}")
-    seed = _check_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    seed = _check_seed(seed)
     count = int(round(fraction_lost * n_rows * n_cols))
     rng = np.random.default_rng(seed)
     lost = rng.choice(n_rows * n_cols, size=count, replace=False)
@@ -88,7 +94,8 @@ def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
 
 def mask_disc(shape, radius: float) -> np.ndarray:
     """Unknown disc of the given radius at the center of the image."""
-    n_rows, n_cols = int(shape[0]), int(shape[1])
+    n_rows, n_cols = _check_shape(shape)
+    radius = _check_real(radius, "radius")
     if not (radius >= 0) or not np.isfinite(radius):
         raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
     rr = np.arange(n_rows)[:, None] - (n_rows - 1) / 2.0
@@ -105,7 +112,7 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
     otherwise a ``ValueError`` names the argument.  A band that runs past
     the far edge is clipped to the image.
     """
-    n_rows, n_cols = int(shape[0]), int(shape[1])
+    n_rows, n_cols = _check_shape(shape)
     if orientation not in ("vertical", "horizontal"):
         raise ValueError("orientation must be 'vertical' or 'horizontal'")
     start = _check_int(start, "start")
@@ -124,10 +131,18 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
 
 
 def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
-    """Add centered Gaussian noise of standard deviation ``sigma``, wrapped."""
+    """Add centered Gaussian noise of standard deviation ``sigma``, wrapped.
+
+    ``x`` must be finite, ``sigma`` a finite nonnegative real and ``seed``
+    a nonnegative integer, neither a bool, else a ``ValueError`` names the
+    argument."""
     x = np.asarray(x, dtype=float)
+    sigma = _check_real(sigma, "sigma")
     if not (sigma >= 0) or not np.isfinite(sigma):
         raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    seed = _check_seed(seed)
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     if sigma == 0:
         return x.copy()
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import argparse
 import re
 import subprocess
 import sys
@@ -5,8 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from phasetv import read_mask, read_phase, write_phase
-from phasetv.cli import main
+from phasetv import SolverConfig, read_mask, read_phase, write_phase
+from phasetv.cli import build_parser, main
 
 
 def test_synth_mask_inpaint_metrics_pipeline(tmp_path, capsys):
@@ -176,3 +177,48 @@ def test_init_and_inpaint_report_initializer_counts(tmp_path, capsys):
                  "--alpha", "0,0,0,0", "--beta", "1,1", "--gamma", "0",
                  "--sweeps", "2"]) == 0
     assert want in capsys.readouterr().err
+
+
+REQUIRED = "required"
+_SHAPE = {"--rows": REQUIRED, "--cols": REQUIRED, "-o --output": REQUIRED}
+_PROBLEM = {"-i --input": REQUIRED, "-m --mask": REQUIRED, "-o --output": REQUIRED,
+            "--alpha": "1,1,0,0", "--beta": "1,1", "--gamma": 1.0}
+FLAGS = {
+    "synth atan2": {"--size": 128, "-o --output": REQUIRED},
+    "synth ramp": {"--rows": 128, "--cols": 128, "-o --output": REQUIRED, "--slope": REQUIRED,
+                   "--direction": "horizontal"},
+    "synth blocks": {"--rows": 128, "--cols": 128, "-o --output": REQUIRED},
+    "mask subsample3": _SHAPE,
+    "mask random": {**_SHAPE, "--fraction": REQUIRED, "--seed": 0},
+    "mask disc": {**_SHAPE, "--radius": REQUIRED},
+    "mask band": {**_SHAPE, "--start": REQUIRED, "--width": REQUIRED, "--orientation": "vertical"},
+    "init": _PROBLEM,
+    "inpaint": {**_PROBLEM, "--sweeps": 700, "--lambda0": np.pi / 2, "--noisy": False,
+                "--record-every": 1, "--trace": None, "--render-gray": None,
+                "--render-hue": None},
+    "metrics": {"result": REQUIRED, "reference": REQUIRED},
+}
+
+
+def _flags(parser, path=()):
+    """{subcommand path: {option strings (or positional name): default or
+    REQUIRED}} of every subcommand below ``parser``."""
+    found = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found.update(_flags(sub, path + (name,)))
+        elif not isinstance(action, argparse._HelpAction):
+            flag = " ".join(action.option_strings) or action.dest
+            value = REQUIRED if action.required else action.default
+            found.setdefault(" ".join(path), {})[flag] = value
+    return found
+
+
+def test_subcommand_flags_pinned():
+    assert _flags(build_parser()) == FLAGS
+    # The solver flags default to the library's run parameters.
+    config = SolverConfig()
+    inpaint = FLAGS["inpaint"]
+    assert (inpaint["--sweeps"], inpaint["--lambda0"], inpaint["--record-every"]) == (
+        config.max_sweeps, config.lambda0, config.record_energy_every)

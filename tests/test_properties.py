@@ -6,7 +6,18 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from phasetv import SolverConfig, Weights, dist, energy, mask_band, mask_disc, mask_random, run_cppa, wrap
+from phasetv import (
+    SolverConfig,
+    Weights,
+    dist,
+    energy,
+    initialize,
+    mask_band,
+    mask_disc,
+    mask_random,
+    run_cppa,
+    wrap,
+)
 
 _angles = st.floats(-np.pi, np.pi, allow_nan=False)
 _weights = st.floats(0.0, 2.0, allow_nan=False)
@@ -44,3 +55,25 @@ def test_wrapped_ramps_are_fixed_points_of_second_order_cppa(data, slope, direct
         assert np.max(dist(rep.image, ramp)) <= 1e-12, kind
         assert max(e for _, e in rep.energy_trace) <= 1e-10, kind
         assert energy(rep.image, ramp, known, w, kind) <= 1e-10, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(2, 24))
+def test_first_order_rows_are_shortest_arc_interpolation(data, n):
+    # On a 1 x n row, noiseless first-order inpainting fills each gap
+    # between two known pixels along the shorter arc between them, at the
+    # cost of their geodesic distance; an end gap copies its one known
+    # neighbour at no cost.
+    f = wrap(np.array(data.draw(st.lists(_angles, min_size=n, max_size=n))))[None, :]
+    known = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))[None, :]
+    w = Weights(alpha=(1, 0, 0, 0), beta=(0, 0), gamma=0.0)
+    rep = run_cppa(initialize(f, known, w), f, known, w, "noiseless", SolverConfig(max_sweeps=30))
+    row, f, idx = rep.image[0], f[0], np.flatnonzero(known[0])
+    gaps = [(a, b) for a, b in zip(idx[:-1], idx[1:]) if b > a + 1]
+    want = sum(dist(f[a], f[b]) for a, b in gaps)
+    assert abs(rep.energy_trace[-1][1] - want) <= 1e-12
+    for j in np.flatnonzero(~known[0]) if idx.size else ():
+        a = idx[idx < j].max(initial=idx[0])
+        b = idx[idx > j].min(initial=idx[-1])
+        excess = dist(f[a], row[j]) + dist(row[j], f[b]) - dist(f[a], f[b])
+        assert excess <= 1e-12, (j, a, b)

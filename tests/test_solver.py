@@ -122,6 +122,23 @@ def test_constraint_pixels_bit_exact():
         assert np.array_equal(rep.image[known].view(np.uint64), f[known].view(np.uint64)), k
 
 
+def test_known_pixels_keep_f_bits_outside_the_row_band():
+    # Only row 3 holds an unknown pixel, so the per-sweep wrap skips the
+    # other rows.  x0 equals f there up to the sign of zero, which the
+    # noiseless precondition accepts; the result must still carry f's bits.
+    f = np.random.default_rng(32).uniform(-np.pi, np.pi, (6, 6))
+    f[0, 0] = f[5, 5] = -0.0
+    f[3, 4] = np.nextafter(np.pi, 0.0)
+    known = np.ones((6, 6), bool)
+    known[3, 1] = False
+    x0 = np.where(known, f, 0.5)
+    x0[0, 0] = x0[5, 5] = 0.0
+    w = Weights(alpha=(1, 1, 0, 0), beta=(1, 1), gamma=1.0)
+    for sweeps in (1, 5):
+        rep = run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=sweeps))
+        assert np.array_equal(rep.image[known].view(np.uint64), f[known].view(np.uint64))
+
+
 def test_precondition_checked():
     f = np.zeros((3, 3))
     x0 = f.copy()
@@ -251,7 +268,7 @@ def _index_groups(calls):
 
     def groups(shape, mask, weights, kind):
         calls.append(kind)
-        return [dataclasses.replace(g, index=tuple(g.flat_index(shape[1])))
+        return [dataclasses.replace(g, index=tuple(g.flat_index()))
                 for g in stencil_groups(shape, mask, weights, kind)]
 
     return groups
@@ -314,7 +331,6 @@ def _wrapped_reference(x0, f, known, weights, kind, cfg):
     form, with the whole constraint set projected after each group."""
     x2d = np.array(x0, order="C")
     x = x2d.reshape(-1)
-    n_cols = x2d.shape[1]
     f_known = f[known]
     for k in range(cfg.max_sweeps):
         lam = lambda_schedule(k, cfg.lambda0)
@@ -326,7 +342,7 @@ def _wrapped_reference(x0, f, known, weights, kind, cfg):
                 vals = [prox_data(vals[0], gather(f, g)[0], 2.0 * lam)]
             else:
                 shrink_columns(vals, lam * g.weight, g.filt)
-            for c, v in zip(g.flat_index(n_cols), vals):
+            for c, v in zip(g.flat_index(), vals):
                 x[c] = wrap(v)
             if kind == "noiseless":
                 x2d[known] = f_known
@@ -396,14 +412,14 @@ def _whole_image_wrap_reference(x0, f, known, weights, cfg):
     x2d = np.array(x0, order="C")
     x = x2d.reshape(-1)
     f_flat = f.reshape(-1)
-    steps = [(g, np.concatenate(g.flat_index(f.shape[1], known)))
+    steps = [(g, np.concatenate(g.flat_index(known)))
              for g in stencil_groups(f.shape, known, weights, "noiseless") if len(g)]
     for k in range(cfg.max_sweeps):
         lam = lambda_schedule(k, cfg.lambda0)
         for g, touched in steps:
             vals = gather(x2d, g)
             shrink_columns(vals, lam * g.weight, g.filt)
-            for c, v in zip(g.flat_index(f.shape[1]), vals):
+            for c, v in zip(g.flat_index(), vals):
                 x[c] = v
             x[touched] = f_flat[touched]
         x2d[...] = np.where(known, f, wrap(x2d))

@@ -32,6 +32,10 @@ def test_atan2_field():
     assert np.max(np.abs(wrap(rotated - shifted))) < 1e-12
     with pytest.raises(ValueError):
         gen_atan2(1)
+    for bad in (2.5, 2.0, True, "4", None):
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            gen_atan2(bad)
+    assert np.array_equal(gen_atan2(np.int64(5)), gen_atan2(5))
 
 
 def test_ramp_examples():
@@ -39,8 +43,9 @@ def test_ramp_examples():
     row = gen_wrapped_ramp((1, 5), 2.0)[0]
     want = [0.0, 2.0, 4.0 - TWO_PI, 6.0 - TWO_PI, 8.0 - TWO_PI]
     assert np.allclose(row, want, atol=1e-12)
-    with pytest.raises(ValueError):
-        gen_wrapped_ramp((2, 2), np.inf)
+    for bad in (np.inf, np.nan, "1", True, None, 1j):
+        with pytest.raises(ValueError, match="slope"):
+            gen_wrapped_ramp((2, 2), bad)
     with pytest.raises(ValueError):
         gen_wrapped_ramp((2, 2), 1.0, "sideways")
 
@@ -111,7 +116,7 @@ def test_disc_mask():
     assert known[31, 31 - 17] and not known[31, 31 - 10]
     single = mask_disc((9, 9), 0.0)
     assert (~single).sum() == 1 and not single[4, 4]
-    for bad in (-1.0, np.nan, np.inf, -np.inf):
+    for bad in (-1.0, np.nan, np.inf, -np.inf, "3", True, None):
         with pytest.raises(ValueError, match="radius"):
             mask_disc((9, 9), bad)
 
@@ -147,6 +152,26 @@ def test_band_mask():
     assert mask_band((4, 6), start=2, width=0).all()
 
 
+def test_bad_shapes_rejected():
+    builders = (
+        lambda shape: gen_wrapped_ramp(shape, 0.5),
+        gen_blocks,
+        mask_subsample3,
+        lambda shape: mask_random(shape, 0.5, seed=0),
+        lambda shape: mask_disc(shape, 1.0),
+        lambda shape: mask_band(shape, start=0, width=1),
+    )
+    bad_shapes = ((2.7, 3), (3, 2.0), (-2, 3), (-1, 5), (0, 4), (True, 3), ("3", 3),
+                  (3,), (3, 4, 5), 5, None)
+    for build in builders:
+        for bad in bad_shapes:
+            with pytest.raises(ValueError, match="^shape must be two positive integers"):
+                build(bad)
+    # numpy integers are accepted and give the images of their Python values.
+    assert np.array_equal(mask_disc((np.int64(9), np.int32(7)), 2.0), mask_disc((9, 7), 2.0))
+    assert np.array_equal(gen_blocks(np.array([64, 70])), gen_blocks((64, 70)))
+
+
 def test_noise():
     rng = np.random.default_rng(41)
     x = rng.uniform(-np.pi, np.pi, (16, 16))
@@ -154,9 +179,17 @@ def test_noise():
     noisy = add_wrapped_gaussian_noise(x, 0.3, seed=0)
     assert np.all(noisy >= -np.pi) and np.all(noisy < np.pi)
     assert np.array_equal(noisy, add_wrapped_gaussian_noise(x, 0.3, seed=0))
-    for bad in (-0.1, np.nan, np.inf, -np.inf):
+    for bad in (-0.1, np.nan, np.inf, -np.inf, True, "1", None):
         with pytest.raises(ValueError, match="sigma"):
             add_wrapped_gaussian_noise(x, bad, seed=0)
+    for bad in (-1, 1.5, True, "1", None):
+        with pytest.raises(ValueError, match="seed"):
+            add_wrapped_gaussian_noise(x, 0.3, seed=bad)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = x.copy()
+        y[3, 4] = bad
+        with pytest.raises(ValueError, match="^x must be finite"):
+            add_wrapped_gaussian_noise(y, 0.3, seed=0)
 
 
 def test_noise_circular_std():
