@@ -5,8 +5,8 @@ differences modulo 2*pi are meaningful for such data, so every derived
 quantity here (distances, filtered differences) is built from the wrap
 operation.  All functions accept floats or numpy arrays; scalar input
 gives scalar output.  Internally the sweep's theta is wrapped by a
-clamp-free floor-half form, canonical outputs by the same form clamped,
-and the energy's |theta| by a rint form.
+clamp-free floor-half form, canonical outputs by the same form with a
+half one ulp smaller and a clamp, and the energy's |theta| by a rint form.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _INV_TWO_PI = 1.0 / TWO_PI
+_BELOW_HALF = np.nextafter(0.5, 0.0)
 
 # The three tap patterns with an analytically known proximal mapping.
 _ALLOWED_TAPS = {
@@ -62,30 +63,30 @@ MIXED_DIFF = DifferenceFilter((-1.0, 1.0, 1.0, -1.0), "mixed")
 FILTERS = (FIRST_DIFF, SECOND_DIFF, MIXED_DIFF)
 
 
-def _signed_wrap(t, out=None, tmp=None) -> np.ndarray:
-    """``t - 2*pi*floor(t / (2*pi) + 1/2)`` in five passes, without a clamp.
+def _signed_wrap(t, out=None, tmp=None, half=0.5) -> np.ndarray:
+    """``t - 2*pi*floor(t / (2*pi) + half)`` in five passes, without a clamp.
 
     Writes into ``out`` (may be ``t``) with the scratch ``tmp``, either
     allocated when not given.  Near an odd multiple of pi the result may
-    pass either end of [-pi, pi) by the rounding of 2*pi*k; an exact tie
-    maps to -pi, and [-pi, pi) is kept bit for bit but for its top ulp.
-    Non-finite input gives NaN."""
+    pass either end of [-pi, pi) by the rounding of 2*pi*k; with ``half``
+    1/2 an exact tie maps to -pi.  Non-finite input gives NaN."""
     if out is None:
         out = np.empty(np.shape(t))
     if tmp is None:
         tmp = np.empty(np.shape(t))
     k = np.multiply(t, _INV_TWO_PI, out=tmp)
-    k += 0.5
+    k += half
     np.floor(k, out=k)
     k *= TWO_PI
     return np.subtract(t, k, out=out)
 
 
 def _wrap_array(arr, out=None, tmp=None) -> np.ndarray:
-    """:func:`_signed_wrap` clamped to [-pi, pi), without validation, for
-    outputs that must be canonical angles."""
+    """The canonical wrap, without validation: :func:`_signed_wrap` with
+    the largest double below 1/2 as ``half``, clamped.  Every t in [-pi, pi)
+    gets k = +0 and is kept bit for bit; pi and -pi give -pi."""
     arr = np.asarray(arr, dtype=float)
-    w = _signed_wrap(arr, out=out, tmp=tmp)
+    w = _signed_wrap(arr, out=out, tmp=tmp, half=_BELOW_HALF)
     # Both stray ends are the point -pi up to the rounding of 2*pi*k; a
     # boolean assignment touches only the rare stray entries.
     w[w < -np.pi] = -np.pi
@@ -216,8 +217,8 @@ def _abs_wrap(t, tmp) -> np.ndarray:
 def wrap(t):
     """Reduce radians to the canonical representant in [-pi, pi).
 
-    The result differs from ``t`` by an integer multiple of 2*pi.  Odd
-    multiples of pi map to -pi (the interval is half-open).
+    The identity, bit for bit, on [-pi, pi); elsewhere the result differs
+    from ``t`` by an integer multiple of 2*pi, and pi maps to -pi.
 
     Parameters
     ----------

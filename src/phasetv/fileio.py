@@ -10,7 +10,6 @@ little-endian payload.  Masks are binary PGM with 0 marking unknown and
 from __future__ import annotations
 
 import os
-import tempfile
 
 import numpy as np
 
@@ -25,8 +24,10 @@ class FormatError(ValueError):
 
 
 def write_bytes_atomic(path, blob: bytes) -> None:
+    """Write ``blob`` to ``path`` via a temp file and ``os.replace``, mode 0o666 & ~umask."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(blob)

@@ -139,15 +139,15 @@ class StencilGroup:
     order of their leading pixels.  With ``index`` None the group is the
     whole lattice.  Otherwise it is a subset in index form: ``index[j]``
     holds the flat pixel indices of position j, one entry per stencil of
-    the group, in an image ``n_cols`` wide.  The data term has
-    ``filt = None``, weight 1 and one position.
+    the group, in the C-order image of shape ``image_shape``.  The data
+    term has ``filt = None``, weight 1 and one position.
     """
 
     label: int
     filt: DifferenceFilter | None
     weight: float
     shape: tuple[int, int]
-    n_cols: int
+    image_shape: tuple[int, int]
     windows: tuple[tuple[slice, slice], ...]
     index: tuple[np.ndarray, ...] | None = None
 
@@ -159,7 +159,7 @@ class StencilGroup:
     def pixels(self) -> np.ndarray:
         """The stencils as an (n, arity, 2) int64 array of (row, col)
         pairs, in stencil order; built on each access."""
-        return np.stack([np.stack(np.divmod(c, self.n_cols), axis=1).astype(np.int64)
+        return np.stack([np.stack(np.divmod(c, self.image_shape[1]), axis=1).astype(np.int64)
                          for c in self.flat_index()], axis=1)
 
     def __len__(self) -> int:
@@ -173,7 +173,7 @@ class StencilGroup:
         only those of pixels where it is True."""
         if self.index is None:
             every = np.ones(self.shape, dtype=bool)
-            return [_window_ids(w, every if where is None else where[w], self.n_cols)
+            return [_window_ids(w, every if where is None else where[w], self.image_shape[1])
                     for w in self.windows]
         if where is None:
             return list(self.index)
@@ -181,7 +181,7 @@ class StencilGroup:
         return [c[where[c]] for c in self.index]
 
 
-def _lattice_group(label, filt, weight, windows, keep, n_cols) -> StencilGroup:
+def _lattice_group(label, filt, weight, windows, keep, image_shape) -> StencilGroup:
     """A group from its lattice and the mask ``keep`` of the stencils it
     keeps (None: all of them); a partial lattice gets the index form."""
     rows, cols = windows[0]
@@ -189,8 +189,8 @@ def _lattice_group(label, filt, weight, windows, keep, n_cols) -> StencilGroup:
              len(range(cols.start, cols.stop, cols.step)))
     index = None
     if keep is not None and not keep.all():
-        index = tuple(_window_ids(w, keep, n_cols) for w in windows)
-    return StencilGroup(label, filt, float(weight), shape, n_cols, windows, index)
+        index = tuple(_window_ids(w, keep, image_shape[1]) for w in windows)
+    return StencilGroup(label, filt, float(weight), shape, image_shape, windows, index)
 
 
 def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[StencilGroup]:
@@ -234,14 +234,14 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
                     keep = unknown[windows[0]].copy()
                     for w in windows[1:]:
                         keep |= unknown[w]
-                groups.append(_lattice_group(label, filt, weight, windows, keep, n_cols))
+                groups.append(_lattice_group(label, filt, weight, windows, keep, known.shape))
                 label += 1
     # Mixed classes are labeled 15..18 in the order (0,0),(1,0),(0,1),(1,1)
     # of the leading pixel's (row, col) parity, which the loop above emits
     # because the row residue varies fastest.
     if model_kind == "noisy":
         whole = ((slice(0, n_rows, 1), slice(0, n_cols, 1)),)
-        groups.append(_lattice_group(DATA_LABEL, None, 1.0, whole, known, n_cols))
+        groups.append(_lattice_group(DATA_LABEL, None, 1.0, whole, known, known.shape))
     return groups
 
 
@@ -271,6 +271,18 @@ def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]
     return vals
 
 
+def scatter(image: np.ndarray, group: StencilGroup, vals) -> None:
+    """Write ``vals``, as :func:`gather` returns them, back to the group's
+    pixels of the C-contiguous 2-D ``image``."""
+    if group.index is None:
+        for w, v in zip(group.windows, vals):
+            np.copyto(image[w], v.reshape(group.shape))
+    else:
+        flat = image.reshape(-1)
+        for c, v in zip(group.index, vals):
+            flat[c] = v
+
+
 def _scratch(groups) -> list[np.ndarray]:
     """Buffers for one group step or energy term of any of ``groups``: one
     per stencil position of the largest arity, plus two."""
@@ -289,8 +301,13 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_dat
     contiguous buffer in stencil order, so both forms give the same bits.
     ``scratch`` optionally holds reusable buffers as made by
     ``_scratch(groups)``, and ``f_data`` the data term's reference
-    ``gather(f, data_group)[0]``.  Non-finite values give NaN.
+    ``gather(f, data_group)[0]``.  Non-finite values give NaN; an ``x`` or
+    ``f`` not of the groups' image shape raises ``ValueError``.
     """
+    for name, a in (("x", x), ("f", f)):
+        if groups and np.shape(a) != groups[0].image_shape:
+            raise ValueError(f"{name} has shape {np.shape(a)},"
+                             f" not the groups' {groups[0].image_shape}")
     if scratch is None:
         scratch = _scratch(groups)
     *columns, theta_buf, tmp_buf = scratch

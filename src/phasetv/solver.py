@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle import _check_int, _check_real, _wrap_array
-from .model import Weights, _check_problem, _scratch, energy_from_groups, gather, stencil_groups
+from .model import (Weights, _check_problem, _scratch, energy_from_groups, gather, scatter,
+                    stencil_groups)
 from .prox import _prox_data_into, shrink_columns
 
 # Pixels per block of the once-per-sweep wrap: the block and its scratch
@@ -94,7 +95,8 @@ def run_cppa(
     energy trace as (sweep, energy) pairs (sweep 0 is the energy of
     ``x0``), the executed sweep count and the wall time in seconds.  Each
     energy is that of the image after the sweep's wrap, so the last one
-    is ``energy`` of the returned image bit for bit.
+    is ``energy`` of the returned image bit for bit.  In noiseless mode the
+    known pixels keep the bits of ``f``.
     """
     if config is None:
         config = SolverConfig()
@@ -109,7 +111,6 @@ def run_cppa(
         np.copyto(x2d, f, where=known)
     x = x2d.reshape(-1)
     f_flat = f.reshape(-1)
-    known_flat = known.reshape(-1)
     # The difference groups with their noiseless projection: the flat
     # indices and data of the known pixels the group touches, reset after
     # each group step.  The data term, if any, runs last with its data,
@@ -137,38 +138,13 @@ def run_cppa(
         moving = np.flatnonzero(~known.all(axis=1))
         band = range(moving[0] * n_cols, (moving[-1] + 1) * n_cols) if moving.size else range(0)
 
-    def blocks():
-        # Block by block: the scratch stays small and the wrap's passes
-        # stay in cache.
-        for lo in range(band.start, band.stop, wrap_tmp.size):
-            yield lo, min(lo + wrap_tmp.size, band.stop)
-
-    # The known pixels in the band whose bits the wrap changes (an angle
-    # an ulp below pi goes to -pi), put back from f after every wrap.  The
-    # wrap leaves the other known pixels at f.
-    restore = []
-    with np.errstate(invalid="ignore"):  # f is not read on unknown pixels
-        for lo, hi in blocks() if noiseless else ():
-            block = f_flat[lo:hi]
-            wrapped = _wrap_array(block, tmp=wrap_tmp[:hi - lo])
-            changed = wrapped.view(np.int64) != block.view(np.int64)
-            restore.extend(lo + np.flatnonzero(changed & known_flat[lo:hi]))
-    restore = np.array(restore, dtype=np.intp)
-    f_restore = f_flat[restore]
-
-    def scatter(g, vals):
-        if g.index is None:
-            for w, v in zip(g.windows, vals):
-                np.copyto(x2d[w], v.reshape(g.shape))
-        else:
-            for c, v in zip(g.index, vals):
-                x[c] = v
-
     def wrap_iterate():
-        for lo, hi in blocks():
-            block = x[lo:hi]
-            _wrap_array(block, out=block, tmp=wrap_tmp[:hi - lo])
-        x[restore] = f_restore
+        # Block by block, so that the scratch stays small and the wrap's
+        # passes stay in cache.  The wrap keeps the known pixels, which
+        # hold f, bit for bit.
+        for lo in range(band.start, band.stop, wrap_tmp.size):
+            block = x[lo:min(lo + wrap_tmp.size, band.stop)]
+            _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
 
     def record(trace, sweep):
         value = energy_from_groups(x2d, f, groups, scratch, f_data)
@@ -190,7 +166,7 @@ def run_cppa(
                 raise NumericalError(
                     f"non-finite values at sweep {k}, subfunctional J{g.label}"
                 ) from exc
-            scatter(g, vals)
+            scatter(x2d, g, vals)
             if noiseless:
                 x[touched] = values
         wrap_iterate()
@@ -200,7 +176,7 @@ def run_cppa(
             n = len(data)
             vals = gather(x2d, data, columns)
             _prox_data_into(vals[0], f_data, 2.0 * lam, theta_buf[:n], step_buf[:n])
-            scatter(data, vals)
+            scatter(x2d, data, vals)
         sweep = k + 1
         if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
             record(trace, sweep)

@@ -144,7 +144,7 @@ def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
     if sigma == 0:
-        return x.copy()
+        return _wrap_array(x)
     rng = np.random.default_rng(seed)
     return _wrap_array(x + sigma * rng.standard_normal(x.shape))
 

@@ -13,7 +13,7 @@ from phasetv import (
     wrap,
 )
 
-from phasetv.circle import _abs_wrap, _signed_wrap
+from phasetv.circle import _abs_wrap, _signed_wrap, _wrap_array
 
 from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
 
@@ -76,11 +76,14 @@ def test_wrap_keeps_canonical_angles_bitwise():
     rng = np.random.default_rng(6)
     u = np.concatenate([
         rng.uniform(-np.pi, np.pi, 100000),
-        [0.0, -0.0, 1e-300, -1e-300, -np.pi, np.nextafter(-np.pi, 0.0)],
+        [0.0, -0.0, 1e-300, -1e-300, -np.pi, np.nextafter(-np.pi, 0.0),
+         np.nextafter(np.pi, 0.0)],
     ])
     assert np.array_equal(wrap(u).view(np.uint64), u.view(np.uint64))
+    assert np.array_equal(_wrap_array(u).view(np.uint64), u.view(np.uint64))
     # The exact ties pi and -pi both map to -pi.
     assert wrap(np.pi) == -np.pi and wrap(-np.pi) == -np.pi
+    assert np.array_equal(_wrap_array(np.array([np.pi, -np.pi])), [-np.pi, -np.pi])
 
 
 def test_signed_wrap_matches_wrap_mod_two_pi():

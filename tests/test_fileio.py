@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -147,3 +149,18 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert path.read_bytes() == b"second"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+def test_written_files_get_the_umask_mode(tmp_path):
+    old = os.umask(0o022)
+    try:
+        write_phase(tmp_path / "x.phase", np.zeros((2, 3)))
+        write_mask(tmp_path / "m.pgm", np.ones((2, 3), bool))
+        os.umask(0o077)
+        write_bytes_atomic(tmp_path / "private.bin", b"x")
+    finally:
+        os.umask(old)
+    assert (tmp_path / "x.phase").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "m.pgm").stat().st_mode & 0o777 == 0o644
+    assert (tmp_path / "private.bin").stat().st_mode & 0o777 == 0o600

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -17,7 +18,7 @@ from phasetv import (
     mask_subsample3,
     wrap,
 )
-from phasetv.model import stencil_groups
+from phasetv.model import gather, scatter, stencil_groups
 
 from cyclic_oracle import abs_cyclic_diff
 
@@ -335,3 +336,44 @@ def test_energy_invariant_under_transpose_and_flip():
             flip = np.s_[:, ::-1]
             assert _close(energy(x[flip], f[flip], known[flip], flipped, kind), base), \
                 (shape, kind)
+
+
+def test_scatter_undoes_gather_on_lattice_and_index_groups():
+    rng = np.random.default_rng(45)
+    shape = (12, 13)
+    x = rng.uniform(-np.pi, np.pi, shape)
+    cases = {
+        "lattice": stencil_groups(shape, mask_subsample3(shape), ALL_ON, "noiseless"),
+        "index": stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noiseless"),
+        "data term": stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noisy")[-1:],
+    }
+    assert all(g.index is None for g in cases["lattice"])
+    assert all(g.index is not None for g in cases["index"] + cases["data term"])
+    for name, groups in cases.items():
+        for g in groups:
+            vals = gather(x, g)
+            y = np.full(shape, np.nan)
+            scatter(y, g, vals)
+            touched = np.zeros(x.size, bool)
+            touched[np.concatenate(g.flat_index())] = True
+            touched = touched.reshape(shape)
+            assert np.array_equal(y[touched], x[touched]), (name, g.label)
+            assert np.isnan(y[~touched]).all(), (name, g.label)
+            moved = [v + 1.0 for v in vals]
+            scatter(y, g, moved)
+            assert all(np.array_equal(a, b) for a, b in zip(gather(y, g), moved)), (name, g.label)
+
+
+def test_energy_from_groups_rejects_another_image_shape():
+    shape = (16, 16)
+    known = mask_disc(shape, 4.0)
+    f = np.zeros(shape)
+    for kind in ("noiseless", "noisy"):
+        groups = stencil_groups(shape, known, ALL_ON, kind)
+        for bad in ((8, 8), (16, 20), (16, 16, 1), (256,)):
+            names = rf"shape {re.escape(str(bad))}, not the groups' \(16, 16\)$"
+            with pytest.raises(ValueError, match="^x has " + names):
+                energy_from_groups(np.zeros(bad), f, groups)
+            with pytest.raises(ValueError, match="^f has " + names):
+                energy_from_groups(f, np.zeros(bad), groups)
+        assert energy_from_groups(f, f, groups) == 0.0

@@ -18,6 +18,7 @@ from phasetv import (
     run_cppa,
     wrap,
 )
+from phasetv.circle import _wrap_array
 
 _angles = st.floats(-np.pi, np.pi, allow_nan=False)
 _weights = st.floats(0.0, 2.0, allow_nan=False)
@@ -77,3 +78,11 @@ def test_first_order_rows_are_shortest_arc_interpolation(data, n):
         b = idx[idx > j].min(initial=idx[-1])
         excess = dist(f[a], row[j]) + dist(row[j], f[b]) - dist(f[a], f[b])
         assert excess <= 1e-12, (j, a, b)
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=st.floats(-np.pi, np.pi, exclude_max=True))
+def test_wrap_is_the_identity_on_canonical_angles(t):
+    bits = np.array(t).view(np.uint64)
+    assert np.array(wrap(t)).view(np.uint64) == bits
+    assert _wrap_array(np.array([t])).view(np.uint64)[0] == bits

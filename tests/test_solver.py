@@ -110,9 +110,8 @@ def test_constraint_pixels_bit_exact():
     known = rng.random((10, 10)) < 0.6
     w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
     first_known, second_known = (tuple(p) for p in np.argwhere(known)[:2])
-    # The per-sweep wrap maps the angle one ulp below pi to -pi; only the
-    # restore from f keeps it.  Small angles and -0.0 must keep their bits
-    # too, which array_equal alone would not see for -0.0.
+    # The per-sweep wrap must keep the angle one ulp below pi, small angles
+    # and -0.0 bit for bit, which array_equal alone would not see for -0.0.
     for k in (0, 3, 6, 12, 300):
         f = u * 10.0**-k
         f[first_known] = -0.0

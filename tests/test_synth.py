@@ -176,6 +176,12 @@ def test_noise():
     rng = np.random.default_rng(41)
     x = rng.uniform(-np.pi, np.pi, (16, 16))
     assert np.array_equal(add_wrapped_gaussian_noise(x, 0.0, seed=0), x)
+    # sigma 0 still wraps, and keeps a canonical x bit for bit.
+    assert np.array_equal(add_wrapped_gaussian_noise(np.array([[4.0, -4.0]]), 0, 1),
+                          wrap(np.array([[4.0, -4.0]])))
+    edge = np.array([-0.0, 0.0, -np.pi, np.nextafter(np.pi, 0.0)])
+    assert np.array_equal(add_wrapped_gaussian_noise(edge, 0.0, 1).view(np.uint64),
+                          edge.view(np.uint64))
     noisy = add_wrapped_gaussian_noise(x, 0.3, seed=0)
     assert np.all(noisy >= -np.pi) and np.all(noisy < np.pi)
     assert np.array_equal(noisy, add_wrapped_gaussian_noise(x, 0.3, seed=0))
