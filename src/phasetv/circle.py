@@ -12,7 +12,7 @@ half one ulp smaller and a clamp, and the energy's |theta| by a rint form.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,20 +40,19 @@ class DifferenceFilter:
 
     taps: tuple[float, ...]
     name: str
+    # |taps|^2, computed once: the sweep divides by it on every group step.
+    norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         taps = tuple(float(t) for t in self.taps)
         object.__setattr__(self, "taps", taps)
         if taps not in _ALLOWED_TAPS:
             raise ValueError(f"unsupported difference filter taps {taps}")
+        object.__setattr__(self, "norm_sq", float(sum(t * t for t in taps)))
 
     @property
     def arity(self) -> int:
         return len(self.taps)
-
-    @property
-    def norm_sq(self) -> float:
-        return float(sum(t * t for t in self.taps))
 
 
 FIRST_DIFF = DifferenceFilter((-1.0, 1.0), "first")

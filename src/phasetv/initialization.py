@@ -102,32 +102,38 @@ def _propagate(f, known, weights: Weights):
     filled_flat = filled.ravel()
     x = np.ascontiguousarray(np.where(known, f, 0.0))
     x_flat = x.ravel()
-    chain = [
-        ([dr * width + dc for dr, dc in offsets], [dr * n_cols + dc for dr, dc in offsets], fill)
-        for offsets, fill in _active_kinds(weights)
-    ]
-    rows, cols = np.nonzero(~known)
-    pending = (rows + _PAD) * width + (cols + _PAD)
-    pending_x = rows * n_cols + cols
+    # The priority chain: per (kind, position t) pair, the offsets of the
+    # stencil's other positions from position t, in the filled mask and in
+    # x (None at t itself).
+    chain = []
+    for offsets, fill in _active_kinds(weights):
+        for t in range(len(offsets) - 1, -1, -1):
+            rel = [(dr - offsets[t][0], dc - offsets[t][1]) for dr, dc in offsets]
+            others = [dr * width + dc for u, (dr, dc) in enumerate(rel) if u != t]
+            others_x = [None if u == t else dr * n_cols + dc for u, (dr, dc) in enumerate(rel)]
+            chain.append((fill, t, others, others_x))
+    # The unknown pixels in x and in the filled mask, where each row above
+    # adds the 2 * _PAD border columns.
+    pending_x = np.flatnonzero(~known)
+    pending = pending_x // n_cols * (2 * _PAD) + pending_x + _PAD * (width + 1)
+    unknown = pending.size
 
     rounds = 0
     while pending.size:
         todo = np.arange(pending.size)  # entries of pending no pair has filled
+        at = pending  # pending[todo]
         hits, values = [], []
-        for deltas, deltas_x, fill in chain:
-            for t in range(len(deltas) - 1, -1, -1):
-                lead = pending[todo] - deltas[t]
-                ok = np.ones(todo.size, dtype=bool)
-                for u, d in enumerate(deltas):
-                    if u != t:
-                        ok &= filled_flat[lead + d]
-                if not ok.any():
-                    continue
-                lead = pending_x[todo[ok]] - deltas_x[t]
-                v = [None if u == t else x_flat[lead + d] for u, d in enumerate(deltas_x)]
-                hits.append(todo[ok])
-                values.append(fill(v, t))
-                todo = todo[~ok]
+        for fill, t, others, others_x in chain:
+            ok = filled_flat[at + others[0]]
+            for d in others[1:]:
+                ok &= filled_flat[at + d]
+            if not ok.any():
+                continue
+            hits.append(todo[ok])
+            at_x = pending_x[hits[-1]]
+            values.append(fill([None if d is None else x_flat[at_x + d] for d in others_x], t))
+            todo = todo[~ok]
+            at = pending[todo]
         if not hits:
             break
         done = np.concatenate(hits)
@@ -136,7 +142,7 @@ def _propagate(f, known, weights: Weights):
         pending, pending_x = pending[todo], pending_x[todo]
         rounds += 1
     unreachable = int(pending.size)
-    return x, rounds, int(rows.size) - unreachable, unreachable
+    return x, rounds, unknown - unreachable, unreachable
 
 
 def initialize(f, mask, weights: Weights) -> np.ndarray:

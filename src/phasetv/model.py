@@ -23,6 +23,7 @@ solver's energy trace both sum the groups in :func:`energy_from_groups`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -114,7 +115,10 @@ _FAMILIES = (
 
 
 def _family_weights(weights: Weights) -> tuple[float, ...]:
-    """The weight of each family of ``_FAMILIES``, in its order."""
+    """The weight of each family of ``_FAMILIES``, in its order;
+    ``ValueError`` unless ``weights`` is a :class:`Weights`."""
+    if not isinstance(weights, Weights):
+        raise ValueError(f"weights must be a Weights, got {weights!r}")
     a1, a2, a3, a4 = weights.alpha
     b1, b2 = weights.beta
     return (a1, a2, a3 * _INV_SQRT2, a4 * _INV_SQRT2, b1, b2, weights.gamma)
@@ -189,7 +193,10 @@ def _lattice_group(label, filt, weight, windows, keep, image_shape) -> StencilGr
              len(range(cols.start, cols.stop, cols.step)))
     index = None
     if keep is not None and not keep.all():
-        index = tuple(_window_ids(w, keep, image_shape[1]) for w in windows)
+        # Position j lies a fixed flat offset from the leading position.
+        lead = _window_ids(windows[0], keep, image_shape[1])
+        index = tuple(lead + ((r.start - rows.start) * image_shape[1] + c.start - cols.start)
+                      for r, c in windows)
     return StencilGroup(label, filt, float(weight), shape, image_shape, windows, index)
 
 
@@ -249,38 +256,45 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
 enumerate_stencils = stencil_groups
 
 
-def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
-    """The group's values in the 2-D ``image``, one contiguous array per
-    stencil position, in stencil order.
+def _bind(image: np.ndarray, group: StencilGroup, out=None):
+    """``(cols, loads, stores)``: the group's columns and the copies
+    between them and the 2-D ``image``, bound once for many calls.
 
-    A lattice is read by a strided copy, an index form by ``np.take``.
-    ``out`` optionally holds one buffer per position, of at least the
-    group's length; the returned arrays are their leading parts.
+    ``cols`` are the leading parts of the buffers in ``out`` (fresh ones
+    when None), one per stencil position.  Each of ``loads`` copies one
+    position's pixels into its column, in stencil order; each of
+    ``stores`` copies a column back into the C-contiguous ``image``.
     """
     n = len(group)
     if out is None:
         out = [np.empty(n) for _ in group.windows]
-    vals = [b[:n] for b, _ in zip(out, group.windows)]
+    cols = [b[:n] for b, _ in zip(out, group.windows)]
     if group.index is None:
-        for v, w in zip(vals, group.windows):
-            np.copyto(v.reshape(group.shape), image[w])
-    else:
-        flat = image.reshape(-1)
-        for v, c in zip(vals, group.index):
-            np.take(flat, c, out=v, mode="clip")
-    return vals
+        pairs = [(image[w], c.reshape(group.shape)) for w, c in zip(group.windows, cols)]
+        return (cols, [partial(np.copyto, c, v) for v, c in pairs],
+                [partial(np.copyto, v, c) for v, c in pairs])
+    flat = image.reshape(-1)
+    return (cols, [partial(flat.take, i, out=c, mode="clip") for i, c in zip(group.index, cols)],
+            [partial(flat.__setitem__, i, c) for i, c in zip(group.index, cols)])
+
+
+def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
+    """The group's values in the 2-D ``image``, one contiguous array per
+    stencil position, in stencil order.  ``out`` optionally holds one
+    buffer per position, of at least the group's length; the returned
+    arrays are their leading parts.
+    """
+    cols, loads, _ = _bind(image, group, out)
+    for load in loads:
+        load()
+    return cols
 
 
 def scatter(image: np.ndarray, group: StencilGroup, vals) -> None:
     """Write ``vals``, as :func:`gather` returns them, back to the group's
     pixels of the C-contiguous 2-D ``image``."""
-    if group.index is None:
-        for w, v in zip(group.windows, vals):
-            np.copyto(image[w], v.reshape(group.shape))
-    else:
-        flat = image.reshape(-1)
-        for c, v in zip(group.index, vals):
-            flat[c] = v
+    for store in _bind(image, group, vals)[2]:
+        store()
 
 
 def _scratch(groups) -> list[np.ndarray]:

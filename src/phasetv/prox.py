@@ -9,6 +9,8 @@ its reused buffers; the public functions wrap those same kernels.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .circle import TWO_PI, DifferenceFilter, _check_real, _scalar, _theta_columns, _wrap_array
@@ -23,13 +25,13 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     ``v - step * taps``, up to multiples of 2*pi.  Since IEEE division is
     sign-symmetric, the clip gives the bits of
     ``copysign(min(lam, |theta| / |taps|^2), theta)``, -0.0 and the
-    antipodal theta included.  Invalid operations are silenced;
-    non-finite input gives a NaN theta and step.
+    antipodal theta included.  Non-finite input gives a NaN theta and
+    step; run it under ``np.errstate(invalid="ignore")``, which silences
+    the invalid operations that make them.
     """
-    with np.errstate(invalid="ignore"):
-        theta = _theta_columns(cols, out=theta_out, tmp=step_out)
-        step = np.divide(theta, filt.norm_sq, out=step_out)
-        np.clip(step, -lam, lam, out=step)
+    theta = _theta_columns(cols, out=theta_out, tmp=step_out)
+    step = np.divide(theta, filt.norm_sq, out=step_out)
+    step.clip(-lam, lam, out=step)
     return theta, step
 
 
@@ -66,10 +68,17 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
     always follows the sign of the wrapped theta (-pi for an exact tie),
     which is what the sweep solver requires for determinism.
     """
+    with np.errstate(invalid="ignore"):
+        _shrink(cols, lam, filt, theta_buf, step_buf)
+
+
+def _shrink(cols, lam: float, filt: DifferenceFilter, theta_buf, step_buf) -> None:
+    """:func:`shrink_columns` under the caller's
+    ``np.errstate(invalid="ignore")``, so that a sweep enters it once."""
     theta, step = _prox_step(cols, lam, filt, theta_buf, step_buf)
     # A NaN step (from non-finite input) makes the sum NaN; finite steps
     # are bounded by lam and cannot overflow it.
-    if not np.isfinite(np.sum(step)):
+    if not math.isfinite(np.add.reduce(step, axis=None)):
         raise ValueError("non-finite values in proximal input")
     _apply_step(cols, step, filt, tmp=theta)
 

@@ -14,15 +14,17 @@ sweep, before the data term, whose shorter-arc test needs angles in
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .circle import _check_int, _check_real, _wrap_array
-from .model import (Weights, _check_problem, _scratch, energy_from_groups, gather, scatter,
+from .model import (Weights, _bind, _check_problem, _scratch, energy_from_groups, gather,
                     stencil_groups)
-from .prox import _prox_data_into, shrink_columns
+from .prox import _prox_data_into, _shrink
 
 # Pixels per block of the once-per-sweep wrap: the block and its scratch
 # take 512 KB, which stays in a typical L2 cache through the wrap's passes.
@@ -46,10 +48,7 @@ class SolverConfig:
     record_energy_every: int = 1
 
     def __post_init__(self):
-        lambda0 = _check_real(self.lambda0, "lambda0")
-        if not (np.isfinite(lambda0) and lambda0 > 0.0):
-            raise ValueError("lambda0 must be positive")
-        object.__setattr__(self, "lambda0", lambda0)
+        object.__setattr__(self, "lambda0", _check_lambda0(self.lambda0))
         for name in ("max_sweeps", "record_energy_every"):
             value = _check_int(getattr(self, name), name)
             if value < 1:
@@ -65,15 +64,26 @@ class SolverReport:
     wall_time: float
 
 
+def _check_lambda0(value) -> float:
+    """``value`` as a float; ``ValueError`` naming lambda0 unless it is a
+    positive finite real number."""
+    lambda0 = _check_real(value, "lambda0")
+    if not (math.isfinite(lambda0) and lambda0 > 0.0):
+        raise ValueError("lambda0 must be positive")
+    return lambda0
+
+
 def lambda_schedule(k: int, lambda0: float) -> float:
     """Step parameter of sweep ``k`` (0-based): lambda0 / (k + 1).
 
     The sequence diverges in sum while its squares sum to a finite value,
-    the two conditions the cyclic scheme needs.
+    the two conditions the cyclic scheme needs.  ``k`` must be a
+    nonnegative integer and ``lambda0`` a positive finite real number;
+    otherwise a ``ValueError`` names the argument.
     """
-    if k < 0:
-        raise ValueError("sweep index must be nonnegative")
-    return lambda0 / (k + 1.0)
+    if _check_int(k, "k") < 0:
+        raise ValueError("sweep index k must be nonnegative")
+    return _check_lambda0(lambda0) / (k + 1.0)
 
 
 def run_cppa(
@@ -100,6 +110,8 @@ def run_cppa(
     """
     if config is None:
         config = SolverConfig()
+    if not isinstance(config, SolverConfig):
+        raise ValueError(f"config must be a SolverConfig, got {config!r}")
     x0, f, known = _check_problem(x0, f, mask, model_kind, start=True)
     noiseless = model_kind == "noiseless"
     groups = stencil_groups(x0.shape, known, weights, model_kind)
@@ -111,24 +123,28 @@ def run_cppa(
         np.copyto(x2d, f, where=known)
     x = x2d.reshape(-1)
     f_flat = f.reshape(-1)
-    # The difference groups with their noiseless projection: the flat
-    # indices and data of the known pixels the group touches, reset after
-    # each group step.  The data term, if any, runs last with its data,
-    # which the energy reads as well.
+    scratch = _scratch(groups)
+    *columns, theta_buf, step_buf = scratch
+    # Each group step is bound once: its columns, the copies between them
+    # and x2d, and its scratch, all cut to the group's length.  In
+    # noiseless mode the last copy is the projection, which resets the
+    # known pixels the group touches to f.  The data term, if any, runs
+    # last with its data, which the energy reads as well.
     steps = []
     data = f_data = None
     for g in groups:
-        if len(g) == 0:
+        n = len(g)
+        if n == 0:
             continue
+        cols, loads, stores = _bind(x2d, g, columns)
         if g.filt is None:
-            data, f_data = g, gather(f, g)[0]
-        elif noiseless:
+            data = (cols, loads, stores, theta_buf[:n], step_buf[:n])
+            f_data = gather(f, g)[0]
+            continue
+        if noiseless:
             touched = np.concatenate(g.flat_index(known))
-            steps.append((g, touched, f_flat[touched]))
-        else:
-            steps.append((g, None, None))
-    scratch = _scratch(groups)
-    *columns, theta_buf, step_buf = scratch
+            stores.append(partial(x.__setitem__, touched, f_flat[touched]))
+        steps.append((g.label, g.weight, g.filt, cols, loads, stores, theta_buf[:n], step_buf[:n]))
     wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
     # The flat range of the rows that hold an unknown pixel; noisy mode
     # moves every pixel.  Outside it every pixel is known and holds f: the
@@ -155,31 +171,35 @@ def run_cppa(
     start = time.perf_counter()
     trace: list[tuple[int, float]] = []
     record(trace, 0)
-    for k in range(config.max_sweeps):
-        lam = lambda_schedule(k, config.lambda0)
-        for g, touched, values in steps:
-            n = len(g)
-            vals = gather(x2d, g, columns)
-            try:
-                shrink_columns(vals, lam * g.weight, g.filt, theta_buf[:n], step_buf[:n])
-            except ValueError as exc:
-                raise NumericalError(
-                    f"non-finite values at sweep {k}, subfunctional J{g.label}"
-                ) from exc
-            scatter(x2d, g, vals)
-            if noiseless:
-                x[touched] = values
-        wrap_iterate()
-        if data is not None:
-            # Data term: prox parameter 2*lam because the closed form
-            # weighs the fidelity without the usual 1/2.
-            n = len(data)
-            vals = gather(x2d, data, columns)
-            _prox_data_into(vals[0], f_data, 2.0 * lam, theta_buf[:n], step_buf[:n])
-            scatter(x2d, data, vals)
-        sweep = k + 1
-        if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
-            record(trace, sweep)
+    # One errstate for the whole run: each group step's finite check, not
+    # a warning, reports a non-finite value.
+    with np.errstate(invalid="ignore"):
+        for k in range(config.max_sweeps):
+            lam = lambda_schedule(k, config.lambda0)
+            for label, weight, filt, cols, loads, stores, theta, step in steps:
+                for load in loads:
+                    load()
+                try:
+                    _shrink(cols, lam * weight, filt, theta, step)
+                except ValueError as exc:
+                    raise NumericalError(
+                        f"non-finite values at sweep {k}, subfunctional J{label}"
+                    ) from exc
+                for store in stores:
+                    store()
+            wrap_iterate()
+            if data is not None:
+                # Data term: prox parameter 2*lam because the closed form
+                # weighs the fidelity without the usual 1/2.
+                cols, loads, stores, a, b = data
+                for load in loads:
+                    load()
+                _prox_data_into(cols[0], f_data, 2.0 * lam, a, b)
+                for store in stores:
+                    store()
+            sweep = k + 1
+            if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
+                record(trace, sweep)
 
     return SolverReport(
         image=x2d,

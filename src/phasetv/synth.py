@@ -150,10 +150,13 @@ def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
 
 
 def cyclic_error(x, y) -> tuple[float, float]:
-    """Mean squared and maximal geodesic error between two phase images."""
+    """Mean squared and maximal geodesic error between two phase images
+    of one shape; empty images raise ``ValueError``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    if x.size == 0:
+        raise ValueError(f"cyclic_error needs non-empty images, got shape {x.shape}")
     d = dist(x, y)
     return float(np.mean(d**2)), float(np.max(d))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from phasetv import SECOND_DIFF, Weights, dist, initialize, wrap
+from phasetv import SECOND_DIFF, Weights, dist, gen_atan2, initialize, mask_disc, mask_random, wrap
 from phasetv.initialization import _propagate
 
 from cyclic_oracle import abs_cyclic_diff
@@ -155,6 +155,20 @@ def test_matches_scalar_oracle_bitwise():
             want, *want_counts = oracle_initialize(f, known, w)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
             assert counts == want_counts
+    # Rounds long enough that a pair fills pixels after another pair of the
+    # same round has filled others: a 48x48 disc under all weights and
+    # under each family alone, and a random 20% loss under each family.
+    f = gen_atan2(48)
+    disc, lost = mask_disc((48, 48), 14.0), mask_random((48, 48), 0.2, 3)
+    cases = [(disc, Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0))]
+    for one in np.eye(7):
+        w = Weights(alpha=one[:4], beta=one[4:6], gamma=one[6])
+        cases += [(disc, w), (lost, w)]
+    for known, w in cases:
+        got, *counts = _propagate(np.where(known, f, 0.0), known, w)
+        want, *want_counts = oracle_initialize(np.where(known, f, 0.0), known, w)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert counts == want_counts
 
 
 def test_counts_all_unknown_unreachable():

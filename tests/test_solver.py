@@ -22,7 +22,7 @@ from phasetv import (
     wrap,
 )
 import phasetv.solver as solver_mod
-from phasetv.model import gather, stencil_groups
+from phasetv.model import gather, scatter, stencil_groups
 from phasetv.prox import shrink_columns
 
 
@@ -31,8 +31,18 @@ def test_lambda_schedule_values():
     assert lambda_schedule(0, lam0) == pytest.approx(np.pi / 2)
     assert lambda_schedule(1, lam0) == pytest.approx(np.pi / 4)
     assert lambda_schedule(2, lam0) == pytest.approx(np.pi / 6)
-    with pytest.raises(ValueError):
+    assert lambda_schedule(np.int64(3), 2) == 0.5
+    with pytest.raises(ValueError, match="sweep index k must be nonnegative"):
         lambda_schedule(-1, lam0)
+    for bad in (True, 1.5, 2.0, "1", None):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            lambda_schedule(bad, 1.0)
+    for bad in ("a", None, True, 1j):
+        with pytest.raises(ValueError, match="^lambda0 must be a real number"):
+            lambda_schedule(0, bad)
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="^lambda0 must be positive"):
+            lambda_schedule(0, bad)
 
 
 def test_lambda_schedule_sum_conditions():
@@ -148,7 +158,7 @@ def test_precondition_checked():
         run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=1))
 
 
-def test_non_finite_input_raises_numerical_error():
+def test_non_finite_input_raises_numerical_error(monkeypatch):
     f = np.zeros((2, 2))
     known = np.array([[True, True], [True, False]])
     x0 = f.copy()
@@ -158,6 +168,16 @@ def test_non_finite_input_raises_numerical_error():
         run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=3))
     assert "sweep 0" in str(err.value)
     assert "non-finite" in str(err.value)
+    # The energy of x0 meets the infinite pixel first.  Without it, the
+    # first group step that holds the pixel names its subfunctional: J1
+    # (horizontal pairs of even leading column), J3 (vertical pairs of
+    # even leading row) or J15 (the mixed stencil at the origin).
+    monkeypatch.setattr(solver_mod, "energy_from_groups", lambda *args: 0.0)
+    for weights, label in ((w, 1), (Weights(alpha=(0, 1, 0, 0)), 3), (Weights(gamma=1.0), 15)):
+        for kind in ("noiseless", "noisy"):
+            with pytest.raises(NumericalError,
+                               match=rf"^non-finite values at sweep 0, subfunctional J{label}$"):
+                run_cppa(x0, f, known, weights, kind, SolverConfig(max_sweeps=3))
 
 
 def test_determinism():
@@ -325,6 +345,27 @@ def test_model_kind_and_mask_rejected():
             run_cppa(f, f, bad, w, "noiseless", cfg)
 
 
+def test_weights_and_config_of_another_type_rejected():
+    f = np.zeros((4, 5))
+    known = np.ones((4, 5), bool)
+    known[2, 2] = False
+    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
+    for bad in ((1, 1, 1, 1), {"gamma": 1.0}, None, dataclasses.asdict(w)):
+        message = "^weights must be a Weights, got "
+        with pytest.raises(ValueError, match=message):
+            initialize(f, known, bad)
+        with pytest.raises(ValueError, match=message):
+            stencil_groups(f.shape, known, bad, "noiseless")
+        for kind in ("noiseless", "noisy"):
+            with pytest.raises(ValueError, match=message):
+                energy(f, f, known, bad, kind)
+            with pytest.raises(ValueError, match=message):
+                run_cppa(f, f, known, bad, kind, SolverConfig(max_sweeps=1))
+    for bad in ({"max_sweeps": 1}, (np.pi / 2, 1, 1), 5, w):
+        with pytest.raises(ValueError, match="^config must be a SolverConfig, got "):
+            run_cppa(f, f, known, w, "noiseless", bad)
+
+
 def _wrapped_reference(x0, f, known, weights, kind, cfg):
     """The sweep with every column wrapped right after its shrink, in index
     form, with the whole constraint set projected after each group."""
@@ -380,6 +421,50 @@ def test_lifted_sweep_matches_wrapped_reference():
             assert np.max(dist(got, want)) <= 1e-12, (i, kind)
             if kind == "noiseless":
                 assert np.array_equal(got[known].view(np.uint64), f[known].view(np.uint64))
+
+
+def _noisy_reference(x0, f, known, weights, cfg):
+    """Noisy ``run_cppa`` from the public per-group kernels: each group
+    gathered, shrunk by ``shrink_columns`` or moved by ``prox_data`` and
+    scattered back, the whole image wrapped once per sweep before the data
+    term.  Returns the image and the energy after every sweep."""
+    groups = stencil_groups(f.shape, known, weights, "noisy")
+    x = np.array(x0, order="C")
+    trace = [energy_from_groups(x, f, groups)]
+    for k in range(cfg.max_sweeps):
+        lam = lambda_schedule(k, cfg.lambda0)
+        for g in groups[:-1]:
+            if len(g):
+                vals = gather(x, g)
+                shrink_columns(vals, lam * g.weight, g.filt)
+                scatter(x, g, vals)
+        x[...] = wrap(x)
+        data = groups[-1]
+        if len(data):
+            scatter(x, data, [prox_data(gather(x, data)[0], gather(f, data)[0], 2.0 * lam)])
+        trace.append(energy_from_groups(x, f, groups))
+    return x, trace
+
+
+def test_noisy_sweep_matches_public_kernels_bitwise():
+    rng = np.random.default_rng(42)
+    for i in range(30):
+        shape = (int(rng.integers(1, 16)), int(rng.integers(1, 16)))
+        f = rng.uniform(-np.pi, np.pi, shape)
+        if i % 5 == 0:
+            known = np.full(shape, bool(rng.integers(0, 2)))
+        else:
+            known = rng.random(shape) < rng.uniform(0.1, 0.9)
+        active = rng.random(7) < 0.5
+        active[rng.integers(7)] = True
+        w7 = np.where(active, rng.uniform(0.1, 2.0, 7), 0.0)
+        w = Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+        cfg = SolverConfig(lambda0=float(rng.uniform(0.2, 50.0)), max_sweeps=6)
+        x0 = np.where(known, f, rng.uniform(-np.pi, np.pi, shape))
+        rep = run_cppa(x0, f, known, w, "noisy", cfg)
+        want, trace = _noisy_reference(x0, f, known, w, cfg)
+        assert np.array_equal(rep.image.view(np.uint64), want.view(np.uint64)), i
+        assert [e for _, e in rep.energy_trace] == trace, i
 
 
 def test_global_phase_shift_commutes_with_restoration():

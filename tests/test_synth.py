@@ -220,3 +220,6 @@ def test_cyclic_error():
     assert mse < 1e-28 and max_err < 1e-14
     with pytest.raises(ValueError):
         cyclic_error(x, x[:5])
+    for empty in (np.zeros((0, 3)), np.zeros(0), np.zeros((2, 0))):
+        with pytest.raises(ValueError, match="non-empty"):
+            cyclic_error(empty, empty)
