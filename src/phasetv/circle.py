@@ -137,6 +137,15 @@ def _check_real(value, what: str) -> float:
     return float(value)
 
 
+def _check_nonnegative(value, what: str) -> float:
+    """``value`` as a float; ``ValueError`` naming ``what`` unless it is a
+    finite nonnegative real number."""
+    value = _check_real(value, what)
+    if not (np.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{what} must be finite and nonnegative, got {value!r}")
+    return value
+
+
 def _check_int(value, what: str) -> int:
     """``value`` as an int; ``ValueError`` naming ``what`` unless it is a
     Python or numpy integer.  bool is an int subclass, but True is no
@@ -182,35 +191,20 @@ def _tap_sum(cols, out=None) -> np.ndarray:
     return theta
 
 
-def _theta_columns(cols, out=None, tmp=None) -> np.ndarray:
-    """Signed wrapped inner product of patches with the taps of their
-    filter: :func:`_tap_sum` reduced by the clamp-free
-    :func:`_signed_wrap`."""
-    theta = _tap_sum(cols, out)
-    return _signed_wrap(theta, out=theta, tmp=tmp)
-
-
 def _near_wrap(t, tmp) -> np.ndarray:
     """Overwrite ``t`` with ``t - 2*pi*rint(t / (2*pi))`` and return it.
 
     Four in-place passes with the scratch array ``tmp``.  Unlike
     :func:`_signed_wrap` it rounds a tie to even, so an odd multiple of pi
     may land on either end of [-pi, pi]: read only its absolute value or
-    its square.  Non-finite input gives NaN.
+    its square.  For |t| up to the solver's 40*pi the absolute value is
+    within 2 ulp of ``t`` (and at least 2e-15) of ``|wrap(t)|``, and may
+    pass pi by that much.  Non-finite input gives NaN.
     """
     k = np.multiply(t, _INV_TWO_PI, out=tmp)
     np.rint(k, out=k)
     np.multiply(k, TWO_PI, out=k)
     return np.subtract(t, k, out=t)
-
-
-def _abs_wrap(t, tmp) -> np.ndarray:
-    """Overwrite ``t`` with ``|wrap(t)|`` in five passes and return it.
-
-    For |t| up to the solver's 40*pi it is within 2 ulp of ``t`` (and at
-    least 2e-15) of ``np.abs(wrap(t))``, and may pass pi by that much.
-    """
-    return np.abs(_near_wrap(t, tmp), out=t)
 
 
 def wrap(t):

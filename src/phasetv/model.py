@@ -8,15 +8,15 @@ differences over stencils that touch at least one unknown pixel. In
 
 The sweep solver needs the regularizer split into groups of stencils that
 are pairwise pixel-disjoint, so their proximal mappings commute and can be
-applied in one vectorized step.  ``stencil_groups`` produces that
-split: first differences by parity of the leading index (two groups per
+applied in one vectorized step.  ``stencil_groups`` produces that split:
+first differences by parity of the leading index (two groups per
 direction), second differences by residue mod 3 (three groups per
 direction), mixed differences by the parity pair of the leading pixel
 (four groups).  Groups are labeled 1..18 in that order; label 19 is the
-data term.  Indices are 0-based and the residue-0 class always comes
-first within a family.  Each group is a regular lattice, one strided
-window of the image per stencil position, so it needs no coordinates;
-only a partial lattice carries flat pixel indices.  ``energy`` and the
+data term.  Indices are 0-based and the residue-0 class always comes first
+within a family.  Each group is a regular lattice, one strided window of
+the image per stencil position, so it needs no coordinates; only a partial
+lattice carries flat indices, of its leading pixels.  ``energy`` and the
 solver's energy trace both sum the groups in :func:`energy_from_groups`.
 """
 
@@ -33,8 +33,7 @@ from .circle import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
-    _abs_wrap,
-    _check_real,
+    _check_nonnegative,
     _check_shape,
     _near_wrap,
     _tap_sum,
@@ -67,27 +66,24 @@ class Weights:
     def __post_init__(self):
         alpha = _real_entries("alpha", self.alpha)
         beta = _real_entries("beta", self.beta)
-        gamma = _check_real(self.gamma, "gamma")
+        gamma = _check_nonnegative(self.gamma, "gamma")
         if len(alpha) != 4 or len(beta) != 2:
             raise ValueError("alpha needs 4 entries and beta 2")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "gamma", gamma)
-        parts = alpha + beta + (gamma,)
-        if any(not np.isfinite(w) or w < 0.0 for w in parts):
-            raise ValueError("weights must be finite and nonnegative")
-        if all(w == 0.0 for w in parts):
+        if all(w == 0.0 for w in alpha + beta + (gamma,)):
             raise ValueError("at least one weight must be positive")
 
 
 def _real_entries(name: str, values) -> tuple[float, ...]:
     """``values`` as floats; ``ValueError`` naming ``name`` unless it is a
-    sequence of real numbers."""
+    sequence of finite nonnegative real numbers."""
     try:
         entries = tuple(values)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}") from None
-    return tuple(_check_real(v, f"each entry of {name}") for v in entries)
+    return tuple(_check_nonnegative(v, f"each entry of {name}") for v in entries)
 
 
 def _check_mask(shape, mask) -> np.ndarray:
@@ -141,10 +137,11 @@ class StencilGroup:
     is a strided view of shape ``shape`` holding the pixel at stencil
     position j of every stencil of the lattice, the stencils in row-major
     order of their leading pixels.  With ``index`` None the group is the
-    whole lattice.  Otherwise it is a subset in index form: ``index[j]``
-    holds the flat pixel indices of position j, one entry per stencil of
-    the group, in the C-order image of shape ``image_shape``.  The data
-    term has ``filt = None``, weight 1 and one position.
+    whole lattice.  Otherwise it is a subset in index form: ``index``
+    holds the flat index of each of its stencils' leading pixels, in the
+    C-order image of shape ``image_shape``, and position j of a stencil
+    lies ``offsets[j]`` further on.  The data term has ``filt = None``,
+    weight 1 and one position.
     """
 
     label: int
@@ -153,11 +150,17 @@ class StencilGroup:
     shape: tuple[int, int]
     image_shape: tuple[int, int]
     windows: tuple[tuple[slice, slice], ...]
-    index: tuple[np.ndarray, ...] | None = None
+    index: np.ndarray | None = None
 
     @property
     def is_data_term(self) -> bool:
         return self.filt is None
+
+    @property
+    def offsets(self) -> tuple[int, ...]:
+        """The flat offset of each stencil position from the leading one."""
+        (r0, c0), n_cols = self.windows[0], self.image_shape[1]
+        return tuple((r.start - r0.start) * n_cols + c.start - c0.start for r, c in self.windows)
 
     @property
     def pixels(self) -> np.ndarray:
@@ -168,7 +171,7 @@ class StencilGroup:
 
     def __len__(self) -> int:
         if self.index is not None:
-            return self.index[0].size
+            return self.index.size
         return self.shape[0] * self.shape[1]
 
     def flat_index(self, where=None) -> list[np.ndarray]:
@@ -179,24 +182,20 @@ class StencilGroup:
             every = np.ones(self.shape, dtype=bool)
             return [_window_ids(w, every if where is None else where[w], self.image_shape[1])
                     for w in self.windows]
+        ids = [self.index + o for o in self.offsets]
         if where is None:
-            return list(self.index)
+            return ids
         where = where.reshape(-1)
-        return [c[where[c]] for c in self.index]
+        return [c[where[c]] for c in ids]
 
 
 def _lattice_group(label, filt, weight, windows, keep, image_shape) -> StencilGroup:
     """A group from its lattice and the mask ``keep`` of the stencils it
     keeps (None: all of them); a partial lattice gets the index form."""
-    rows, cols = windows[0]
-    shape = (len(range(rows.start, rows.stop, rows.step)),
-             len(range(cols.start, cols.stop, cols.step)))
+    shape = tuple(len(range(s.start, s.stop, s.step)) for s in windows[0])
     index = None
     if keep is not None and not keep.all():
-        # Position j lies a fixed flat offset from the leading position.
-        lead = _window_ids(windows[0], keep, image_shape[1])
-        index = tuple(lead + ((r.start - rows.start) * image_shape[1] + c.start - cols.start)
-                      for r, c in windows)
+        index = _window_ids(windows[0], keep, image_shape[1])
     return StencilGroup(label, filt, float(weight), shape, image_shape, windows, index)
 
 
@@ -273,9 +272,10 @@ def _bind(image: np.ndarray, group: StencilGroup, out=None):
         pairs = [(image[w], c.reshape(group.shape)) for w, c in zip(group.windows, cols)]
         return (cols, [partial(np.copyto, c, v) for v, c in pairs],
                 [partial(np.copyto, v, c) for v, c in pairs])
-    flat = image.reshape(-1)
-    return (cols, [partial(flat.take, i, out=c, mode="clip") for i, c in zip(group.index, cols)],
-            [partial(flat.__setitem__, i, c) for i, c in zip(group.index, cols)])
+    # Index form: position j reads the one index through the image shifted by its offset.
+    views = [image.reshape(-1)[o:] for o in group.offsets]
+    return (cols, [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)],
+            [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)])
 
 
 def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
@@ -340,7 +340,7 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_dat
                 _tap_sum([x[w] for w in g.windows], theta.reshape(g.shape))
             else:
                 _tap_sum(gather(x, g, columns), theta)
-            total += g.weight * float(np.sum(_abs_wrap(theta, tmp)))
+            total += g.weight * float(np.sum(np.abs(_near_wrap(theta, tmp), out=theta)))
     return total
 
 

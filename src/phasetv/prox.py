@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from .circle import TWO_PI, DifferenceFilter, _check_real, _scalar, _theta_columns, _wrap_array
+from .circle import (TWO_PI, DifferenceFilter, _check_nonnegative, _scalar, _signed_wrap,
+                     _tap_sum, _wrap_array, check_phase_values)
 
 
 def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
@@ -29,7 +30,8 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     step; run it under ``np.errstate(invalid="ignore")``, which silences
     the invalid operations that make them.
     """
-    theta = _theta_columns(cols, out=theta_out, tmp=step_out)
+    theta = _tap_sum(cols, theta_out)
+    theta = _signed_wrap(theta, out=theta, tmp=step_out)
     step = np.divide(theta, filt.norm_sq, out=step_out)
     step.clip(-lam, lam, out=step)
     return theta, step
@@ -126,17 +128,18 @@ def prox_data(g, f, lam: float):
     ``f`` lie more than pi apart, so that the average is taken along the
     shorter arc.
 
-    Accepts scalars or arrays of any (common) shape; ``lam`` must be a
-    nonnegative real number, else ``ValueError``.  ``lam = 0`` returns
-    ``g`` unchanged; ``lam -> inf`` approaches ``f``.
+    Accepts scalars or arrays of any (common) shape.  ``g`` and ``f`` must
+    hold angles in [-pi, pi) and ``lam`` must be a nonnegative real
+    number; otherwise a ``ValueError`` names the argument.  ``lam = 0``
+    returns ``g`` unchanged; ``lam -> inf`` approaches ``f``.
     """
-    lam = _check_real(lam, "lam")
-    if not (np.isfinite(lam) and lam >= 0.0):
-        raise ValueError("lam must be nonnegative")
+    lam = _check_nonnegative(lam, "lam")
     out = np.array(g, dtype=float)
     f = np.asarray(f, dtype=float)
     if out.shape != f.shape:
         raise ValueError(f"shape mismatch: {out.shape} vs {f.shape}")
+    check_phase_values(out, "g")
+    check_phase_values(f, "f")
     if lam != 0.0:
         _prox_data_into(out, f, lam, np.empty(out.shape), np.empty(out.shape))
     return _scalar(out)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import _check_int, _check_real, _check_shape, _wrap_array, dist
+from .circle import _check_int, _check_nonnegative, _check_real, _check_shape, _wrap_array, dist
 
 
 def _check_seed(seed) -> int:
@@ -95,9 +95,7 @@ def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
 def mask_disc(shape, radius: float) -> np.ndarray:
     """Unknown disc of the given radius at the center of the image."""
     n_rows, n_cols = _check_shape(shape)
-    radius = _check_real(radius, "radius")
-    if not (radius >= 0) or not np.isfinite(radius):
-        raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
+    radius = _check_nonnegative(radius, "radius")
     rr = np.arange(n_rows)[:, None] - (n_rows - 1) / 2.0
     cc = np.arange(n_cols)[None, :] - (n_cols - 1) / 2.0
     return rr**2 + cc**2 > radius**2
@@ -137,9 +135,7 @@ def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     a nonnegative integer, neither a bool, else a ``ValueError`` names the
     argument."""
     x = np.asarray(x, dtype=float)
-    sigma = _check_real(sigma, "sigma")
-    if not (sigma >= 0) or not np.isfinite(sigma):
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    sigma = _check_nonnegative(sigma, "sigma")
     seed = _check_seed(seed)
     if not np.isfinite(x).all():
         raise ValueError("x must be finite")
@@ -151,12 +147,16 @@ def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
 
 def cyclic_error(x, y) -> tuple[float, float]:
     """Mean squared and maximal geodesic error between two phase images
-    of one shape; empty images raise ``ValueError``."""
+    of one shape; empty images, or a non-finite value in either, raise
+    ``ValueError``."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.size == 0:
         raise ValueError(f"cyclic_error needs non-empty images, got shape {x.shape}")
+    for name, a in (("x", x), ("y", y)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} must be finite")
     d = dist(x, y)
     return float(np.mean(d**2)), float(np.max(d))

@@ -2,7 +2,8 @@
 
 The library works on whole stencil columns at once; these helpers apply
 its kernels to a single patch.  ``signed_cyclic_diff`` and
-``abs_cyclic_diff`` call ``circle._theta_columns`` and ``prox_diff`` calls
+``abs_cyclic_diff`` call ``circle._tap_sum`` and ``circle._signed_wrap``,
+as ``prox._prox_step`` does, and ``prox_diff`` calls
 ``prox.shrink_columns``, so a test built on them checks the code the
 sweep runs.  ``oracle_cyclic_diff`` (enumeration over base-point shifts)
 and ``oracle_prox_diff`` (grid search) are independent references, and
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from phasetv import dist
-from phasetv.circle import TWO_PI, DifferenceFilter, _theta_columns, _wrap_array
+from phasetv.circle import TWO_PI, DifferenceFilter, _signed_wrap, _tap_sum, _wrap_array
 from phasetv.prox import shrink_columns
 
 
@@ -38,7 +39,7 @@ def _columns(x: np.ndarray) -> list[np.ndarray]:
 def signed_cyclic_diff(x, filt: DifferenceFilter) -> float:
     """Wrapped inner product of a patch with the filter taps, in [-pi, pi)."""
     x = _check_patch(x, filt)
-    return float(_theta_columns(_columns(x))[0])
+    return float(_signed_wrap(_tap_sum(_columns(x)))[0])
 
 
 def abs_cyclic_diff(x, filt: DifferenceFilter) -> float:

@@ -306,7 +306,7 @@ def test_criterion_09_disjointness_and_determinism(monkeypatch):
         out = []
         for g in stencil_groups(shape, mask, weights, kind):
             perm = rng.permutation(len(g))
-            index = tuple(c[perm] for c in g.flat_index())
+            index = g.flat_index()[0][perm]
             out.append(dataclasses.replace(g, index=index))
         return out
 

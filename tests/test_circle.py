@@ -13,7 +13,7 @@ from phasetv import (
     wrap,
 )
 
-from phasetv.circle import _abs_wrap, _signed_wrap, _wrap_array
+from phasetv.circle import _near_wrap, _signed_wrap, _wrap_array
 
 from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
 
@@ -114,6 +114,11 @@ def test_signed_wrap_matches_wrap_mod_two_pi():
         with np.errstate(invalid="ignore"):
             assert _signed_wrap(bad, out=bad, tmp=np.empty(4)) is bad
     assert np.isnan(bad[:3]).all() and bad[3] == 1.0
+
+
+def _abs_wrap(t, tmp):
+    """|wrap(t)| as the energy forms it, in place on ``t``."""
+    return np.abs(_near_wrap(t, tmp), out=t)
 
 
 def test_abs_wrap_matches_abs_of_wrap():

@@ -38,8 +38,8 @@ def test_weights_validation():
         Weights()
     with pytest.raises(ValueError):
         Weights(alpha=(0, 0, 0, 0), beta=(np.nan, 0), gamma=0.0)
-    # Entries that are not real numbers name their field.
-    for bad in ("1", True, np.True_, None, 1j):
+    # Entries that are not finite nonnegative real numbers name their field.
+    for bad in ("1", True, np.True_, None, 1j, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="alpha"):
             Weights(alpha=(bad, 1, 1, 1), beta=(1, 1), gamma=1.0)
         with pytest.raises(ValueError, match="beta"):

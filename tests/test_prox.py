@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -180,8 +182,8 @@ def test_step_matches_four_pass_formula_bitwise(filt, monkeypatch):
         for edge in (lam * filt.norm_sq, -lam * filt.norm_sq):
             special += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
         theta = np.concatenate([special, random_theta])
-        monkeypatch.setattr(prox, "_theta_columns",
-                            lambda cols, out=None, tmp=None: theta.copy())
+        monkeypatch.setattr(prox, "_signed_wrap",
+                            lambda t, out=None, tmp=None: theta.copy())
         with np.errstate(invalid="ignore"):
             _, step = _prox_step(cols, lam, filt)
         assert np.array_equal(_bits(step), _bits(_four_pass_step(theta, lam, filt)))
@@ -213,6 +215,15 @@ def test_prox_data_validation():
     # Python and numpy ints and floats are accepted.
     for lam in (1, np.int64(1), np.float64(1.0)):
         assert prox_data(0.4, 0.2, lam) == prox_data(0.4, 0.2, 1.0)
+    # g and f must be angles in [-pi, pi); a value outside, or a non-finite
+    # one, is named instead of giving a wrong result or a numpy warning.
+    cases = [(0.1, 50.0, "f"), (np.nan, 0.0, "g"), (np.inf, 0.0, "g"), (0.0, -np.inf, "f"),
+             (np.pi, 0.0, "g"), (np.array([0.0, -4.0]), np.zeros(2), "g")]
+    for g, f, name in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{name} value"):
+                prox_data(g, f, 1.0)
 
 
 def _data_prox_cases(rng):
@@ -245,9 +256,14 @@ def test_prox_data_matches_allocating_formula_bitwise():
     for g, f in _data_prox_cases(rng):
         for lam in (1e-300, 1e-6, 0.1, 1.0, np.pi / 7, 37.5, 1e6):
             expected = _bits(oracle_prox_data(g, f, lam))
-            g_in, f_in = g.copy(), f.copy()
-            assert np.array_equal(_bits(prox_data(g, f, lam)), expected)
-            assert np.array_equal(_bits(g), _bits(g_in)) and np.array_equal(_bits(f), _bits(f_in))
+            # The public function takes angles in [-pi, pi) only; the edge
+            # cases beyond them reach the kernel below.
+            ok = (g >= -np.pi) & (g < np.pi) & (f >= -np.pi) & (f < np.pi)
+            g_ok, f_ok = (g, f) if ok.all() else (g[ok], f[ok])
+            g_in, f_in = g_ok.copy(), f_ok.copy()
+            assert np.array_equal(_bits(prox_data(g_ok, f_ok, lam)), expected[ok])
+            assert np.array_equal(_bits(g_ok), _bits(g_in))
+            assert np.array_equal(_bits(f_ok), _bits(f_in))
             # The kernel on leading parts of larger buffers, as the solver
             # calls it.
             n = g.size

@@ -287,7 +287,7 @@ def _index_groups(calls):
 
     def groups(shape, mask, weights, kind):
         calls.append(kind)
-        return [dataclasses.replace(g, index=tuple(g.flat_index()))
+        return [dataclasses.replace(g, index=g.flat_index()[0])
                 for g in stencil_groups(shape, mask, weights, kind)]
 
     return groups

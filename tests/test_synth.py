@@ -223,3 +223,11 @@ def test_cyclic_error():
     for empty in (np.zeros((0, 3)), np.zeros(0), np.zeros((2, 0))):
         with pytest.raises(ValueError, match="non-empty"):
             cyclic_error(empty, empty)
+    # A non-finite value is named by its argument.
+    for bad in (np.nan, np.inf, -np.inf):
+        z = x.copy()
+        z[3, 4] = bad
+        with pytest.raises(ValueError, match="^x must be finite"):
+            cyclic_error(z, x)
+        with pytest.raises(ValueError, match="^y must be finite"):
+            cyclic_error(x, z)
