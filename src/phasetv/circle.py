@@ -117,15 +117,15 @@ def _first_invalid_angle(x: np.ndarray, where=None):
 def check_phase_values(x, what: str, where=None, error=ValueError) -> None:
     """Raise ``error`` unless ``x`` holds finite angles in [-pi, pi).
 
-    The message names ``what`` and the first bad pixel in row-major order.
-    ``where`` (boolean, the shape of ``x``) restricts the check to the
-    pixels where it is True.
+    The message names ``what`` and, unless ``x`` is 0-d, the first bad
+    pixel in row-major order.  ``where`` (boolean, the shape of ``x``)
+    restricts the check to the pixels where it is True.
     """
     x = np.asarray(x, dtype=float)
     pixel = _first_invalid_angle(x, where)
     if pixel is not None:
-        at = ", ".join(str(i) for i in pixel)
-        raise error(f"{what} value {float(x[pixel])!r} out of [-pi, pi) at pixel ({at})")
+        at = f" at pixel ({', '.join(str(i) for i in pixel)})" if pixel else ""
+        raise error(f"{what} value {float(x[pixel])!r} out of [-pi, pi){at}")
 
 
 def _check_real(value, what: str) -> float:
@@ -144,6 +144,16 @@ def _check_nonnegative(value, what: str) -> float:
     if not (np.isfinite(value) and value >= 0.0):
         raise ValueError(f"{what} must be finite and nonnegative, got {value!r}")
     return value
+
+
+def _check_finite(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ``ValueError`` naming ``what`` unless it
+    is a finite real number or an array of them (not of bools, strings,
+    None or complex numbers)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite real numbers")
+    return arr.astype(float, copy=False)
 
 
 def _check_int(value, what: str) -> int:
@@ -211,26 +221,16 @@ def wrap(t):
     """Reduce radians to the canonical representant in [-pi, pi).
 
     The identity, bit for bit, on [-pi, pi); elsewhere the result differs
-    from ``t`` by an integer multiple of 2*pi, and pi maps to -pi.
-
-    Parameters
-    ----------
-    t : float or ndarray
-        Angle(s) in radians; must be finite.
-
-    Returns
-    -------
-    float or ndarray
-        Wrapped angle(s) in [-pi, pi).
+    from ``t`` by an integer multiple of 2*pi, and pi maps to -pi.  ``t``
+    (a float or an array) must hold finite real numbers, else a
+    ``ValueError`` names it.
     """
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("wrap requires finite input")
-    return _scalar(_wrap_array(arr))
+    return _scalar(_wrap_array(_check_finite(t, "t")))
 
 
 def dist(p, q):
-    """Geodesic distance on the circle, |wrap(q - p)|, in [0, pi]."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    """Geodesic distance on the circle, |wrap(q - p)|, in [0, pi]; ``p``
+    and ``q`` as for :func:`wrap`."""
+    p = _check_finite(p, "p")
+    q = _check_finite(q, "q")
     return _scalar(np.abs(wrap(q - p)))

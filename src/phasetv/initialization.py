@@ -85,9 +85,10 @@ def _propagate(f, known, weights: Weights):
     """``initialize``, plus what it did: returns ``(x, rounds, filled,
     unreachable)``, the rounds that filled something, the pixels filled
     and the unknown pixels left at 0."""
-    f = np.asarray(f, dtype=float)
-    if f.ndim != 2:
-        raise ValueError("expected a 2-D image")
+    f = np.asarray(f)
+    if f.ndim != 2 or f.size == 0 or np.iscomplexobj(f):
+        raise ValueError(f"f must be a non-empty real 2-D image, got {f.dtype} of shape {f.shape}")
+    f = f.astype(float, copy=False)
     known = _check_mask(f.shape, known)
     check_phase_values(f, "f", where=known)
     n_rows, n_cols = f.shape
@@ -149,8 +150,8 @@ def initialize(f, mask, weights: Weights) -> np.ndarray:
     """Return an image equal to ``f`` on known pixels with the unknown
     region filled by zero-difference propagation.
 
-    ``f`` must hold angles in [-pi, pi) on the known pixels; otherwise a
-    ``ValueError`` names the first bad pixel.  Its unknown pixels are not
-    read.
+    ``f`` must be a non-empty real 2-D image with angles in [-pi, pi) on
+    the known pixels; otherwise a ``ValueError`` names the first bad pixel.
+    Its unknown pixels are not read.
     """
     return _propagate(f, mask, weights)[0]

@@ -347,16 +347,19 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_dat
 def _check_problem(x, f, mask, model_kind: str, start: bool = False):
     """``(x, f, known)`` as float images and boolean mask, after the
     checks that ``energy`` and ``run_cppa`` document (``stencil_groups``
-    checks ``model_kind``).  A solver ``start``, named ``x0``, is checked
-    only where it is known or finite."""
+    checks ``model_kind``).  For a solver ``start`` the messages call
+    ``x`` ``x0``."""
     what = "x0" if start else "x"
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if x.shape != f.shape or x.ndim != 2:
+    x, f = np.asarray(x), np.asarray(f)
+    for name, a in ((what, x), ("f", f)):
+        if a.ndim != 2 or np.iscomplexobj(a):
+            raise ValueError(f"{name} must be a real 2-D image, got {a.dtype} of shape {a.shape}")
+    if x.shape != f.shape:
         raise ValueError(f"image shapes disagree: {x.shape} vs {f.shape}")
+    x, f = x.astype(float, copy=False), f.astype(float, copy=False)
     known = _check_mask(x.shape, mask)
     check_phase_values(f, "f", where=known)
-    check_phase_values(x, what, where=known | np.isfinite(x) if start else None)
+    check_phase_values(x, what)
     if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
         raise ValueError(f"{what} must equal f on known pixels in noiseless mode")
     return x, f, known
@@ -365,11 +368,12 @@ def _check_problem(x, f, mask, model_kind: str, start: bool = False):
 def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     """Evaluate the model energy at ``x`` given data ``f``.
 
-    ``x`` must hold angles in [-pi, pi) on every pixel and ``f`` on the
-    known pixels; otherwise a ``ValueError`` names the argument and the
-    first bad pixel.  In noiseless mode ``x`` must carry the data values
-    on the known pixels exactly; that constraint is part of the model,
-    not a soft term, and a violation raises ``ValueError``.
+    ``x`` and ``f`` must be real 2-D images of one shape, ``x`` with angles
+    in [-pi, pi) on every pixel and ``f`` on the known pixels; otherwise a
+    ``ValueError`` names the argument and the first bad pixel.  In
+    noiseless mode ``x`` must carry the data values on the known pixels
+    exactly; that constraint is part of the model, not a soft term, and a
+    violation raises ``ValueError``.
     """
     x, f, known = _check_problem(x, f, mask, model_kind)
     x = np.ascontiguousarray(x)

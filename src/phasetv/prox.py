@@ -9,12 +9,10 @@ its reused buffers; the public functions wrap those same kernels.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .circle import (TWO_PI, DifferenceFilter, _check_nonnegative, _scalar, _signed_wrap,
-                     _tap_sum, _wrap_array, check_phase_values)
+from .circle import (TWO_PI, DifferenceFilter, _check_finite, _check_nonnegative, _scalar,
+                     _signed_wrap, _tap_sum, _wrap_array, check_phase_values)
 
 
 def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
@@ -26,9 +24,7 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     ``v - step * taps``, up to multiples of 2*pi.  Since IEEE division is
     sign-symmetric, the clip gives the bits of
     ``copysign(min(lam, |theta| / |taps|^2), theta)``, -0.0 and the
-    antipodal theta included.  Non-finite input gives a NaN theta and
-    step; run it under ``np.errstate(invalid="ignore")``, which silences
-    the invalid operations that make them.
+    antipodal theta included.
     """
     theta = _tap_sum(cols, theta_out)
     theta = _signed_wrap(theta, out=theta, tmp=step_out)
@@ -63,32 +59,22 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
     holding that position's value for every patch; they are overwritten
     with the prox output, which is not wrapped: each entry moves by at
     most pi/2 from its input, which may itself be any representative of
-    its angle.  ``theta_buf`` and ``step_buf`` are optional
-    scratch arrays of the column length.  Raises ``ValueError`` before
-    writing anything if a patch holds a non-finite value.  In the
-    (measure-zero) antipodal case, where the prox is two-valued, the step
-    always follows the sign of the wrapped theta (-pi for an exact tie),
-    which is what the sweep solver requires for determinism.
+    its angle.  The input must be finite and is not checked (see
+    :mod:`phasetv.solver`).  ``theta_buf`` and ``step_buf`` are optional
+    scratch arrays of the column length.  In the (measure-zero) antipodal
+    case, where the prox is two-valued, the step always follows the sign
+    of the wrapped theta (-pi for an exact tie), which is what the sweep
+    solver requires for determinism.
     """
-    with np.errstate(invalid="ignore"):
-        _shrink(cols, lam, filt, theta_buf, step_buf)
-
-
-def _shrink(cols, lam: float, filt: DifferenceFilter, theta_buf, step_buf) -> None:
-    """:func:`shrink_columns` under the caller's
-    ``np.errstate(invalid="ignore")``, so that a sweep enters it once."""
     theta, step = _prox_step(cols, lam, filt, theta_buf, step_buf)
-    # A NaN step (from non-finite input) makes the sum NaN; finite steps
-    # are bounded by lam and cannot overflow it.
-    if not math.isfinite(np.add.reduce(step, axis=None)):
-        raise ValueError("non-finite values in proximal input")
     _apply_step(cols, step, filt, tmp=theta)
 
 
 def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> np.ndarray:
     """Apply the difference prox to every row of an (n, arity) array; the
-    output is wrapped to [-pi, pi)."""
-    values = np.asarray(values, dtype=float)
+    output is wrapped to [-pi, pi).  ``values`` must be finite, else a
+    ``ValueError`` names it."""
+    values = _check_finite(values, "values")
     cols = [values[:, j].copy() for j in range(filt.arity)]
     shrink_columns(cols, lam, filt)
     out = np.stack(cols, axis=1)

@@ -4,17 +4,27 @@ One sweep applies the proximal mapping of every group of
 :func:`phasetv.model.stencil_groups` in label order, with the parameter
 ``lambda_k = lambda0 / (k + 1)``.  In noiseless mode the known pixels a
 group touches are reset to the data after it; in noisy mode the data term
-is a group of its own.  The difference groups leave their pixels
-unwrapped, since the next step needs each angle only modulo 2*pi.  A
-group moves a pixel by at most pi/2, so within a sweep |x| stays below
-about 10*pi and |theta| below about 40*pi.  The image is wrapped once per
-sweep, before the data term, whose shorter-arc test needs angles in
-[-pi, pi).
+is a group of its own.
+
+Finite in, finite throughout: :func:`run_cppa` checks that ``x0`` and
+``f`` hold finite angles, the weights are finite and ``lambda0 <= 1e300``,
+and the sweep checks nothing.  A difference prox moves a pixel by ``step
+* tap`` with ``|step| <= |theta| / |taps|^2``, theta being a signed wrap,
+so by at most pi/2 whatever ``lam`` is; the data prox averages two finite
+angles with the weight ``2*lam``, and ``f * 2*lam`` stays finite.  This
+bounded step is what the convergence of the cyclic proximal point
+algorithm rests on (Bacak, SIAM J. Optim. 2014).  Only the energy, a
+weighted sum, can overflow, for a weight near the largest float.
+
+The difference groups leave their pixels unwrapped, since the next step
+needs each angle only modulo 2*pi; by that bound, within a sweep |x| stays
+below about 10*pi and |theta| below about 40*pi.  The image is wrapped
+once per sweep, before the data term, whose shorter-arc test needs angles
+in [-pi, pi).
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -24,7 +34,11 @@ import numpy as np
 from .circle import _check_int, _check_real, _wrap_array
 from .model import (Weights, _bind, _check_problem, _scratch, energy_from_groups, gather,
                     stencil_groups)
-from .prox import _prox_data_into, _shrink
+from .prox import _prox_data_into, shrink_columns
+
+# The largest lambda0: the noisy data prox forms f * 2*lambda0 with |f| <= pi,
+# which overflows from about 2.9e307.
+_LAMBDA0_MAX = 1e300
 
 # Pixels per block of the once-per-sweep wrap: it caps the scratch at 256 KB
 # (2 MB for a whole 512^2 image).  It buys no speed: on 262,144 pixels the whole
@@ -33,15 +47,17 @@ _WRAP_BLOCK = 1 << 15
 
 
 class NumericalError(RuntimeError):
-    """Non-finite values appeared during a sweep."""
+    """The energy of an iterate overflowed, which finite input can make
+    happen only through a weight near the largest float."""
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters for :func:`run_cppa`.
 
-    Energies are recorded every ``record_energy_every`` sweeps, plus
-    always at sweep 0 and the final sweep.
+    ``lambda0`` is a real number in (0, 1e300].  Energies are
+    recorded every ``record_energy_every`` sweeps, plus always at sweep 0
+    and the final sweep.
     """
 
     lambda0: float = np.pi / 2.0
@@ -70,10 +86,10 @@ class SolverReport:
 
 def _check_lambda0(value) -> float:
     """``value`` as a float; ``ValueError`` naming lambda0 unless it is a
-    positive finite real number."""
+    real number in (0, ``_LAMBDA0_MAX``]."""
     lambda0 = _check_real(value, "lambda0")
-    if not (math.isfinite(lambda0) and lambda0 > 0.0):
-        raise ValueError("lambda0 must be positive")
+    if not 0.0 < lambda0 <= _LAMBDA0_MAX:
+        raise ValueError(f"lambda0 must be positive and at most {_LAMBDA0_MAX:g}")
     return lambda0
 
 
@@ -82,8 +98,8 @@ def lambda_schedule(k: int, lambda0: float) -> float:
 
     The sequence diverges in sum while its squares sum to a finite value,
     the two conditions the cyclic scheme needs.  ``k`` must be a
-    nonnegative integer and ``lambda0`` a positive finite real number;
-    otherwise a ``ValueError`` names the argument.
+    nonnegative integer and ``lambda0`` in (0, 1e300], as for
+    :class:`SolverConfig`; otherwise a ``ValueError`` names the argument.
     """
     if _check_int(k, "k") < 0:
         raise ValueError("sweep index k must be nonnegative")
@@ -101,15 +117,16 @@ def run_cppa(
     """Minimize the chosen model energy starting from ``x0``.
 
     ``x0`` is typically the output of the initializer and must agree with
-    ``f`` on known pixels in noiseless mode.  ``f`` must hold angles in
-    [-pi, pi) on the known pixels, and so must ``x0`` wherever it is known
-    or finite; a violation raises ``ValueError`` naming the argument and
-    the first bad pixel.  A non-finite ``x0`` on an unknown pixel raises
-    :class:`NumericalError` at sweep 0.  Returns the final image, the
-    energy trace as (sweep, energy) pairs (sweep 0 is the energy of
-    ``x0``), the executed sweep count and the wall time in seconds.  Each
-    energy is that of the image after the sweep's wrap, so the last one
-    is ``energy`` of the returned image bit for bit.  In noiseless mode the
+    ``f`` on known pixels in noiseless mode.  Both are real 2-D images of
+    one shape, ``x0`` with angles in [-pi, pi) on every pixel and ``f`` on
+    the known pixels; a violation, NaN and inf included, raises
+    ``ValueError`` naming the argument and the first bad pixel.  An energy
+    that overflows, which only weights near the largest float cause,
+    raises :class:`NumericalError`.  Returns the final image, the energy
+    trace as (sweep, energy) pairs (sweep 0 is the energy of ``x0``), the
+    executed sweep count and the wall time in seconds.  Each energy is
+    that of the image after the sweep's wrap, so the last one is
+    ``energy`` of the returned image bit for bit.  In noiseless mode the
     known pixels keep the bits of ``f``.
     """
     if config is None:
@@ -148,7 +165,7 @@ def run_cppa(
         if noiseless:
             touched = np.concatenate(g.flat_index(known))
             stores.append(partial(x.__setitem__, touched, f_flat[touched]))
-        steps.append((g.label, g.weight, g.filt, cols, loads, stores, theta_buf[:n], step_buf[:n]))
+        steps.append((g.weight, g.filt, cols, loads, stores, theta_buf[:n], step_buf[:n]))
     wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
     # The flat range of the rows that hold an unknown pixel; noisy mode
     # moves every pixel.  Outside it every pixel is known and holds f: the
@@ -174,35 +191,27 @@ def run_cppa(
     start = time.perf_counter()
     trace: list[tuple[int, float]] = []
     record(trace, 0)
-    # One errstate for the whole run: each group step's finite check, not
-    # a warning, reports a non-finite value.
-    with np.errstate(invalid="ignore"):
-        for k in range(config.max_sweeps):
-            lam = lambda_schedule(k, config.lambda0)
-            for label, weight, filt, cols, loads, stores, theta, step in steps:
-                for load in loads:
-                    load()
-                try:
-                    _shrink(cols, lam * weight, filt, theta, step)
-                except ValueError as exc:
-                    raise NumericalError(
-                        f"non-finite values at sweep {k}, subfunctional J{label}"
-                    ) from exc
-                for store in stores:
-                    store()
-            wrap_iterate()
-            if data is not None:
-                # Data term: prox parameter 2*lam because the closed form
-                # weighs the fidelity without the usual 1/2.
-                cols, loads, stores, a, b = data
-                for load in loads:
-                    load()
-                _prox_data_into(cols[0], f_data, 2.0 * lam, a, b)
-                for store in stores:
-                    store()
-            sweep = k + 1
-            if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
-                record(trace, sweep)
+    for k in range(config.max_sweeps):
+        lam = lambda_schedule(k, config.lambda0)
+        for weight, filt, cols, loads, stores, theta, step in steps:
+            for load in loads:
+                load()
+            shrink_columns(cols, lam * weight, filt, theta, step)
+            for store in stores:
+                store()
+        wrap_iterate()
+        if data is not None:
+            # Data term: prox parameter 2*lam because the closed form
+            # weighs the fidelity without the usual 1/2.
+            cols, loads, stores, a, b = data
+            for load in loads:
+                load()
+            _prox_data_into(cols[0], f_data, 2.0 * lam, a, b)
+            for store in stores:
+                store()
+        sweep = k + 1
+        if sweep % config.record_energy_every == 0 or sweep == config.max_sweeps:
+            record(trace, sweep)
 
     return SolverReport(
         image=x2d,

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import _check_int, _check_nonnegative, _check_real, _check_shape, _wrap_array, dist
+from .circle import (_check_finite, _check_int, _check_nonnegative, _check_real, _check_shape,
+                     _wrap_array, dist)
 
 
 def _check_seed(seed) -> int:
@@ -134,11 +135,9 @@ def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     ``x`` must be finite, ``sigma`` a finite nonnegative real and ``seed``
     a nonnegative integer, neither a bool, else a ``ValueError`` names the
     argument."""
-    x = np.asarray(x, dtype=float)
+    x = _check_finite(x, "x")
     sigma = _check_nonnegative(sigma, "sigma")
     seed = _check_seed(seed)
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
     if sigma == 0:
         return _wrap_array(x)
     rng = np.random.default_rng(seed)
@@ -149,14 +148,11 @@ def cyclic_error(x, y) -> tuple[float, float]:
     """Mean squared and maximal geodesic error between two phase images
     of one shape; empty images, or a non-finite value in either, raise
     ``ValueError``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x = _check_finite(x, "x")
+    y = _check_finite(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     if x.size == 0:
         raise ValueError(f"cyclic_error needs non-empty images, got shape {x.shape}")
-    for name, a in (("x", x), ("y", y)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} must be finite")
     d = dist(x, y)
     return float(np.mean(d**2)), float(np.max(d))

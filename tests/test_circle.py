@@ -38,9 +38,15 @@ def test_wrap_periodic_and_in_range():
 
 
 def test_wrap_rejects_non_finite():
-    for bad in (np.inf, -np.inf, np.nan):
-        with pytest.raises(ValueError):
+    # Bools, strings, None and complex numbers are no angles either; dist
+    # names the argument that holds one.
+    for bad in (np.inf, -np.inf, np.nan, "1", True, None, 1j, np.array([0.0, np.nan])):
+        with pytest.raises(ValueError, match="^t must be finite real numbers$"):
             wrap(bad)
+        with pytest.raises(ValueError, match="^p must be finite real numbers$"):
+            dist(bad, 0.0)
+        with pytest.raises(ValueError, match="^q must be finite real numbers$"):
+            dist(0.0, bad)
 
 
 def _mod_wrap(t):

@@ -125,6 +125,15 @@ def test_error_exit_codes(tmp_path, capsys):
     assert main(["inpaint", "-i", str(f), "-m", str(m), "-o", str(out),
                  "--alpha", "1,2"]) == 1
 
+    # Above its cap, lambda0 would overflow the noisy data prox.
+    m4 = tmp_path / "m4.pgm"
+    assert main(["mask", "subsample3", "--rows", "4", "--cols", "4", "-o", str(m4)]) == 0
+    capsys.readouterr()
+    assert main(["inpaint", "-i", str(f), "-m", str(m4), "-o", str(out), "--noisy",
+                 "--lambda0", "1e301"]) == 1
+    assert "lambda0" in capsys.readouterr().err
+    assert not out.exists()
+
     disc = tmp_path / "disc.pgm"
     capsys.readouterr()
     assert main(["mask", "disc", "--rows", "5", "--cols", "5", "--radius", "nan",

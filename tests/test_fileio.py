@@ -107,9 +107,10 @@ def test_mask_read_errors(tmp_path):
     with pytest.raises(FormatError, match="P5"):
         read_mask(path)
 
-    path.write_bytes(b"P5\n2 2\n200\n" + bytes(4))
-    with pytest.raises(FormatError, match="maxval"):
-        read_mask(path)
+    for maxval in (b"1", b"200", b"65535"):
+        path.write_bytes(b"P5\n2 2\n" + maxval + b"\n" + bytes(4))
+        with pytest.raises(FormatError, match="maxval"):
+            read_mask(path)
 
     path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
     with pytest.raises(FormatError, match="expected 4"):

@@ -128,6 +128,8 @@ def test_shape_validation():
         initialize(np.zeros((3, 3)), np.ones((2, 2), bool), W_FIRST)
     with pytest.raises(ValueError):
         initialize(np.zeros(5), np.ones(5, bool), W_FIRST)
+    with pytest.raises(ValueError, match=r"^f must be a non-empty .* shape \(0, 5\)"):
+        initialize(np.zeros((0, 5)), np.ones((0, 5), bool), W_FIRST)
 
 
 def test_matches_scalar_oracle_bitwise():

@@ -19,9 +19,12 @@ from phasetv import (
     wrap,
 )
 from phasetv.circle import _wrap_array
+from phasetv.solver import _LAMBDA0_MAX
 
 _angles = st.floats(-np.pi, np.pi, allow_nan=False)
+_canonical = st.floats(-np.pi, np.pi, exclude_max=True)
 _weights = st.floats(0.0, 2.0, allow_nan=False)
+_wide_weights = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
 
 
 @st.composite
@@ -80,8 +83,40 @@ def test_first_order_rows_are_shortest_arc_interpolation(data, n):
         assert excess <= 1e-12, (j, a, b)
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), rows=st.integers(1, 12), cols=st.integers(1, 12),
+       lambda0=st.floats(0.0, exclude_min=True, allow_infinity=False),
+       kind=st.sampled_from(["noiseless", "noisy"]), sweeps=st.integers(1, 5))
+def test_finite_start_stays_finite_without_a_floating_point_error(data, rows, cols, lambda0,
+                                                                  kind, sweeps):
+    # The argument of the solver's module docstring: with the start, the
+    # weights and lambda0 checked at the boundary, no operation of the
+    # sweep overflows, divides by zero or makes a NaN.
+    if lambda0 > _LAMBDA0_MAX:
+        with pytest.raises(ValueError, match="^lambda0"):
+            SolverConfig(lambda0=lambda0)
+        return
+    shape = (rows, cols)
+    known = data.draw(_masks(shape))
+    images = st.lists(_canonical, min_size=rows * cols, max_size=rows * cols)
+    f, x0 = (np.reshape(data.draw(images), shape) for _ in range(2))
+    if kind == "noiseless":
+        x0 = np.where(known, f, x0)
+    alpha = data.draw(st.tuples(_wide_weights, _wide_weights, _wide_weights, _wide_weights))
+    beta = data.draw(st.tuples(_wide_weights, _wide_weights))
+    gamma = data.draw(_wide_weights)
+    if not any(alpha + beta + (gamma,)):
+        gamma = 1.0
+    w = Weights(alpha=alpha, beta=beta, gamma=gamma)
+    config = SolverConfig(lambda0=lambda0, max_sweeps=sweeps)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        rep = run_cppa(x0, f, known, w, kind, config)
+    assert np.all((rep.image >= -np.pi) & (rep.image < np.pi))
+    assert np.all(np.isfinite([e for _, e in rep.energy_trace]))
+
+
 @settings(max_examples=500, deadline=None)
-@given(t=st.floats(-np.pi, np.pi, exclude_max=True))
+@given(t=_canonical)
 def test_wrap_is_the_identity_on_canonical_angles(t):
     bits = np.array(t).view(np.uint64)
     assert np.array(wrap(t)).view(np.uint64) == bits

@@ -190,13 +190,9 @@ def test_step_matches_four_pass_formula_bitwise(filt, monkeypatch):
 
 
 def test_column_kernel_rejects_non_finite_before_writing():
-    cols = [np.array([0.1, np.nan]), np.array([0.2, 0.3])]
-    before = [c.copy() for c in cols]
-    with pytest.raises(ValueError):
-        shrink_columns(cols, 0.5, FIRST_DIFF)
-    assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(cols, before))
-    with pytest.raises(ValueError):
-        prox_diff_batch(np.array([[0.0, 1.0, np.inf, 0.0]]), 0.5, MIXED_DIFF)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="^values must be finite"):
+            prox_diff_batch(np.array([[0.0, 1.0, bad, 0.0]]), 0.5, MIXED_DIFF)
 
 
 def test_prox_data_examples():
@@ -224,6 +220,11 @@ def test_prox_data_validation():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{name} value"):
                 prox_data(g, f, 1.0)
+    # A scalar has no pixel to name.
+    with pytest.raises(ValueError, match=r"^g value nan out of \[-pi, pi\)$"):
+        prox_data(np.nan, 0.0, 1.0)
+    with pytest.raises(ValueError, match=r"^g value -4\.0 out of \[-pi, pi\) at pixel \(1\)$"):
+        prox_data(np.array([0.0, -4.0]), np.zeros(2), 1.0)
 
 
 def _data_prox_cases(rng):

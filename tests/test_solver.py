@@ -40,9 +40,10 @@ def test_lambda_schedule_values():
     for bad in ("a", None, True, 1j):
         with pytest.raises(ValueError, match="^lambda0 must be a real number"):
             lambda_schedule(0, bad)
-    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+    for bad in (0.0, -1.0, np.nan, np.inf, -np.inf, np.nextafter(1e300, np.inf)):
         with pytest.raises(ValueError, match="^lambda0 must be positive"):
             lambda_schedule(0, bad)
+    assert lambda_schedule(0, 1e300) == 1e300
 
 
 def test_lambda_schedule_sum_conditions():
@@ -59,10 +60,10 @@ def test_config_validation():
     for bad in ("1.5", None, True, False, 1 + 0j):
         with pytest.raises(ValueError, match="lambda0 must be a real number"):
             SolverConfig(lambda0=bad)
-    for bad in (-1.0, np.inf, np.nan):
-        with pytest.raises(ValueError, match="lambda0 must be positive"):
+    for bad in (-1.0, np.inf, np.nan, 1e301):
+        with pytest.raises(ValueError, match="lambda0 must be positive and at most 1e"):
             SolverConfig(lambda0=bad)
-    for good in (2, np.float32(0.5), np.int64(3)):
+    for good in (2, np.float32(0.5), np.int64(3), 1e300):
         config = SolverConfig(lambda0=good)
         assert type(config.lambda0) is float and config.lambda0 == good
     with pytest.raises(ValueError):
@@ -158,26 +159,37 @@ def test_precondition_checked():
         run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=1))
 
 
-def test_non_finite_input_raises_numerical_error(monkeypatch):
+def test_non_finite_start_raises_value_error_naming_x0():
+    # The start is checked on every pixel, so a NaN or inf never reaches
+    # the sweep.  In the 3 x 1 case no stencil holds the unknown middle
+    # pixel, so no later check could see it.
+    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
     f = np.zeros((2, 2))
     known = np.array([[True, True], [True, False]])
     x0 = f.copy()
     x0[1, 1] = np.inf
-    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
-    with pytest.raises(NumericalError) as err:
-        run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=3))
-    assert "sweep 0" in str(err.value)
-    assert "non-finite" in str(err.value)
-    # The energy of x0 meets the infinite pixel first.  Without it, the
-    # first group step that holds the pixel names its subfunctional: J1
-    # (horizontal pairs of even leading column), J3 (vertical pairs of
-    # even leading row) or J15 (the mixed stencil at the origin).
-    monkeypatch.setattr(solver_mod, "energy_from_groups", lambda *args: 0.0)
-    for weights, label in ((w, 1), (Weights(alpha=(0, 1, 0, 0)), 3), (Weights(gamma=1.0), 15)):
+    column = np.zeros((3, 1))
+    middle = np.array([[True], [False], [True]])
+    start = column.copy()
+    start[1, 0] = np.nan
+    cases = ((x0, f, known, w, r"inf .* at pixel \(1, 1\)"),
+             (start, column, middle, Weights(alpha=(1, 0, 0, 0)), r"nan .* at pixel \(1, 0\)"))
+    for x0, f, known, weights, where in cases:
         for kind in ("noiseless", "noisy"):
-            with pytest.raises(NumericalError,
-                               match=rf"^non-finite values at sweep 0, subfunctional J{label}$"):
+            with pytest.raises(ValueError, match=rf"^x0 value {where}$"):
                 run_cppa(x0, f, known, weights, kind, SolverConfig(max_sweeps=3))
+
+
+def test_energy_overflow_raises_numerical_error():
+    # Finite input keeps the sweep finite, but a weight near the largest
+    # float makes the weighted sum of the energy overflow.
+    f = np.array([[0.0, 3.0, -3.0]])
+    known = np.array([[True, False, True]])
+    x0 = np.where(known, f, 0.0)
+    w = Weights(alpha=(1e308, 1, 0, 0))
+    for kind in ("noiseless", "noisy"):
+        with pytest.raises(NumericalError, match="^energy became non-finite at sweep 0$"):
+            run_cppa(x0, f, known, w, kind, SolverConfig(max_sweeps=3))
 
 
 def test_determinism():
@@ -343,6 +355,26 @@ def test_model_kind_and_mask_rejected():
     for bad in (known.astype(np.uint8), known[:, :3], known[None]):
         with pytest.raises(ValueError, match="mask"):
             run_cppa(f, f, bad, w, "noiseless", cfg)
+
+
+def test_image_arguments_must_be_real_2d_images():
+    # A complex image must not lose its imaginary part silently, and a
+    # 3-D one is named as such, not as a shape mismatch with itself.
+    f = np.zeros((3, 4))
+    known = np.ones((3, 4), bool)
+    known[1, 1] = False
+    w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
+    z = f + 0j
+    for x, g, bad, got in ((z, f, "x", "complex128"), (f, z, "f", "complex128"),
+                           (f[None], f[None], "x", r"float64 of shape \(1, 3, 4\)")):
+        for kind in ("noiseless", "noisy"):
+            with pytest.raises(ValueError, match=rf"^{bad} must be a real 2-D image, got {got}"):
+                energy(x, g, known, w, kind)
+            start = "x0" if bad == "x" else bad
+            with pytest.raises(ValueError, match=rf"^{start} must be a real 2-D image, got {got}"):
+                run_cppa(x, g, known, w, kind, SolverConfig(max_sweeps=1))
+    with pytest.raises(ValueError, match="^f must be a non-empty real 2-D image, got complex"):
+        initialize(z, known, w)
 
 
 def test_weights_and_config_of_another_type_rejected():
