@@ -3,10 +3,8 @@
 Angles are stored as their canonical representant in [-pi, pi).  Only
 differences modulo 2*pi are meaningful for such data, so every derived
 quantity here (distances, filtered differences) is built from the wrap
-operation.  All functions accept floats or numpy arrays; scalar input
-gives scalar output.  Internally the sweep's theta is wrapped by a
-clamp-free floor-half form, canonical outputs by the same form with a
-half one ulp smaller and a clamp, and the energy's |theta| by a rint form.
+operation.  :func:`check_phase_image` is the contract of every public
+entry that takes a phase image.
 """
 
 from __future__ import annotations
@@ -19,13 +17,24 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 _INV_TWO_PI = 1.0 / TWO_PI
 _BELOW_HALF = np.nextafter(0.5, 0.0)
+_EVERY_PIXEL = object()
 
 # The three tap patterns with an analytically known proximal mapping.
-_ALLOWED_TAPS = {
+_ALLOWED_TAPS = (
     (-1.0, 1.0),
     (1.0, -2.0, 1.0),
     (-1.0, 1.0, 1.0, -1.0),
-}
+)
+
+
+def _check_finite(value, what: str) -> np.ndarray:
+    """``value`` as a float array; ``ValueError`` naming ``what`` unless it
+    is a finite real number or an array of them (not of bools, strings,
+    None or complex numbers)."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite real numbers")
+    return arr.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -35,7 +44,8 @@ class DifferenceFilter:
     Only the forward first difference, the centered second difference and
     the mixed (cross) second difference are supported; for these the
     variational definition of the cyclic difference reduces to the wrapped
-    inner product, which everything downstream relies on.
+    inner product, which everything downstream relies on; other ``taps``
+    raise a ``ValueError``.  ``name`` is a free label, not checked.
     """
 
     taps: tuple[float, ...]
@@ -44,10 +54,10 @@ class DifferenceFilter:
     norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        taps = tuple(float(t) for t in self.taps)
-        object.__setattr__(self, "taps", taps)
+        taps = tuple(np.atleast_1d(_check_finite(self.taps, "taps")).tolist())
         if taps not in _ALLOWED_TAPS:
-            raise ValueError(f"unsupported difference filter taps {taps}")
+            raise ValueError(f"unsupported difference filter taps {self.taps!r}")
+        object.__setattr__(self, "taps", taps)
         object.__setattr__(self, "norm_sq", float(sum(t * t for t in taps)))
 
     @property
@@ -99,33 +109,53 @@ def _scalar(a):
     return float(a) if np.ndim(a) == 0 else a
 
 
-def _first_invalid_angle(x: np.ndarray, where=None):
-    """(row, col) of the first entry that is not an angle in [-pi, pi).
-
-    NaN and infinities fail both comparisons or one of them, so they count
-    as invalid.  Only entries where ``where`` is True are considered.
-    Returns None when every considered entry is valid.
-    """
+def check_phase_values(x, what: str, where=None, error=ValueError) -> None:
+    """Raise ``error`` unless ``x`` holds finite angles in [-pi, pi) where
+    ``where`` (boolean, of its shape) is True, or on every pixel without
+    it, and ``ValueError`` unless its dtype is of ints or floats.  The
+    message names ``what`` and, unless ``x`` is 0-d, the first bad pixel in
+    row-major order."""
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must be real numbers, got {x.dtype}")
     bad = ~((x >= -np.pi) & (x < np.pi))
     if where is not None:
         bad &= where
-    if not bad.any():
-        return None
-    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
-
-
-def check_phase_values(x, what: str, where=None, error=ValueError) -> None:
-    """Raise ``error`` unless ``x`` holds finite angles in [-pi, pi).
-
-    The message names ``what`` and, unless ``x`` is 0-d, the first bad
-    pixel in row-major order.  ``where`` (boolean, the shape of ``x``)
-    restricts the check to the pixels where it is True.
-    """
-    x = np.asarray(x, dtype=float)
-    pixel = _first_invalid_angle(x, where)
-    if pixel is not None:
-        at = f" at pixel ({', '.join(str(i) for i in pixel)})" if pixel else ""
+    if bad.any():
+        pixel = np.unravel_index(np.argmax(bad), bad.shape)
+        at = f" at pixel ({', '.join(str(int(i)) for i in pixel)})" if pixel else ""
         raise error(f"{what} value {float(x[pixel])!r} out of [-pi, pi){at}")
+
+
+def _check_same_shape(name: str, shape, ref_shape, ref: str) -> None:
+    """``ValueError`` unless ``shape``, of ``name``, is ``ref_shape``, of ``ref`` ("x's")."""
+    if shape != ref_shape:
+        raise ValueError(f"{name} has shape {shape}, not {ref} {ref_shape}")
+
+
+def _check_image(a, what: str, shape=None, of: str = "", kinds: str = "iuf") -> np.ndarray:
+    """``a`` as an array; ``ValueError`` naming ``what`` unless it has ``shape``
+    (that of ``of``) when given and is a non-empty 2-D image of dtype ``kinds``:
+    "iuf" ints or floats (not bools, strings, objects or complex), "b" a mask."""
+    a = np.asarray(a)
+    if shape is not None:
+        _check_same_shape(what, a.shape, tuple(shape), of)
+    if a.ndim != 2 or a.size == 0 or a.dtype.kind not in kinds:
+        noun = "boolean" if kinds == "b" else "real"
+        raise ValueError(f"{what} must be a non-empty {noun} 2-D image,"
+                         f" got {a.dtype} of shape {a.shape}")
+    return a
+
+
+def check_phase_image(x, what: str, mask=_EVERY_PIXEL, error=ValueError, shape=None, of=""):
+    """``x`` as a float image, checked as every public entry checks one:
+    ``x`` and ``mask``, if given, by :func:`_check_image`, then ``error``
+    unless ``x`` holds angles in [-pi, pi) where the mask is True."""
+    x = _check_image(x, what, shape, of).astype(float, copy=False)
+    if mask is not _EVERY_PIXEL:
+        mask = _check_image(mask, "mask", x.shape, f"{what}'s", kinds="b")
+    check_phase_values(x, what, where=None if mask is _EVERY_PIXEL else mask, error=error)
+    return x
 
 
 def _check_real(value, what: str) -> float:
@@ -146,14 +176,11 @@ def _check_nonnegative(value, what: str) -> float:
     return value
 
 
-def _check_finite(value, what: str) -> np.ndarray:
-    """``value`` as a float array; ``ValueError`` naming ``what`` unless it
-    is a finite real number or an array of them (not of bools, strings,
-    None or complex numbers)."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
-        raise ValueError(f"{what} must be finite real numbers")
-    return arr.astype(float, copy=False)
+def _check_choice(value, what: str, choices: tuple[str, ...]) -> str:
+    """``value``; ``ValueError`` naming ``what`` unless it is a str in ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        raise ValueError(f"{what} must be one of {choices}, got {value!r}")
+    return value
 
 
 def _check_int(value, what: str) -> int:
@@ -222,15 +249,15 @@ def wrap(t):
 
     The identity, bit for bit, on [-pi, pi); elsewhere the result differs
     from ``t`` by an integer multiple of 2*pi, and pi maps to -pi.  ``t``
-    (a float or an array) must hold finite real numbers, else a
-    ``ValueError`` names it.
+    (a float or an array of any shape, on purpose) must hold finite real
+    numbers, else a ``ValueError`` names it.
     """
     return _scalar(_wrap_array(_check_finite(t, "t")))
 
 
 def dist(p, q):
-    """Geodesic distance on the circle, |wrap(q - p)|, in [0, pi]; ``p``
-    and ``q`` as for :func:`wrap`."""
-    p = _check_finite(p, "p")
-    q = _check_finite(q, "q")
-    return _scalar(np.abs(wrap(q - p)))
+    """Geodesic distance on the circle, |wrap(q - p)|, in [0, pi]; ``p`` and ``q`` as for
+    :func:`wrap`, of shapes that broadcast, subtracted once wrapped so as not to overflow."""
+    p = _wrap_array(_check_finite(p, "p"))
+    q = _wrap_array(_check_finite(q, "q"))
+    return _scalar(np.abs(_wrap_array(q - p)))

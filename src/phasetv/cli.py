@@ -84,12 +84,12 @@ def cmd_init(args) -> None:
 def cmd_inpaint(args) -> None:
     f, known = _load_pair(args)
     weights = _weights(args)
-    x0 = _initialize(f, known, weights)
     config = SolverConfig(
         lambda0=args.lambda0,
         max_sweeps=args.sweeps,
         record_energy_every=args.record_every,
     )
+    x0 = _initialize(f, known, weights)
     kind = "noisy" if args.noisy else "noiseless"
     report = run_cppa(x0, f, known, weights, kind, config)
     fileio.write_phase(args.output, report.image)

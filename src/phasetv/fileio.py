@@ -3,8 +3,7 @@
 The phase container is deliberately minimal: an ASCII header line
 ``S1PHASE <rows> <cols>`` followed by the row-major float64
 little-endian payload.  Masks are binary PGM with 0 marking unknown and
-255 marking known pixels.  All writes go through a temp file plus
-``os.replace`` so readers never observe partial output.
+255 marking known pixels.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import os
 
 import numpy as np
 
-from .circle import TWO_PI, _first_invalid_angle, check_phase_values
+from .circle import TWO_PI, _check_image, check_phase_image, check_phase_values
 
 _MAGIC = b"S1PHASE"
 _WS = b" \t\r\n"
@@ -23,9 +22,16 @@ class FormatError(ValueError):
     """A file violates the phase or mask container format."""
 
 
+def _check_path(path):
+    """``path``; ``ValueError`` unless a non-empty str, bytes or PathLike (not an fd)."""
+    if not isinstance(path, (str, bytes, os.PathLike)) or not os.fspath(path):
+        raise ValueError(f"path must be a non-empty str, bytes or os.PathLike, got {path!r}")
+    return path
+
+
 def write_bytes_atomic(path, blob: bytes) -> None:
     """Write ``blob`` to ``path`` via a temp file and ``os.replace``, mode 0o666 & ~umask."""
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(os.path.abspath(_check_path(path)))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
@@ -38,26 +44,16 @@ def write_bytes_atomic(path, blob: bytes) -> None:
         raise
 
 
-def _check_image(x) -> np.ndarray:
-    """``x`` as a float array; ``ValueError`` unless it is a nonempty 2-D
-    image, ``FormatError`` unless its values are angles in [-pi, pi)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("expected a nonempty 2-D image")
-    check_phase_values(x, "phase", error=FormatError)
-    return x
-
-
 def write_phase(path, x) -> None:
-    """Write a phase image; values must already lie in [-pi, pi)."""
-    x = _check_image(x)
+    """Write a phase image checked by ``check_phase_image``; a bad value raises ``FormatError``."""
+    x = check_phase_image(x, "x", error=FormatError)
     header = b"%s %d %d\n" % (_MAGIC, x.shape[0], x.shape[1])
     payload = np.ascontiguousarray(x, dtype="<f8").tobytes()
     write_bytes_atomic(path, header + payload)
 
 
 def read_phase(path) -> np.ndarray:
-    with open(path, "rb") as handle:
+    with open(_check_path(path), "rb") as handle:
         data = handle.read()
     end = data.find(b"\n")
     if end < 0:
@@ -78,22 +74,13 @@ def read_phase(path) -> np.ndarray:
             f" (payload starts at offset {end + 1})"
         )
     x = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
-    pixel = _first_invalid_angle(x)
-    if pixel is not None:
-        r, c = pixel
-        offset = end + 1 + 8 * (r * cols + c)
-        raise FormatError(
-            f"phase value {float(x[r, c])!r} out of [-pi, pi) at pixel ({r}, {c})"
-            f" (offset {offset})"
-        )
+    check_phase_values(x, "phase", error=FormatError)
     return x
 
 
 def write_mask(path, known) -> None:
     """Write a mask as binary PGM: 255 where known, 0 where unknown."""
-    known = np.asarray(known)
-    if known.ndim != 2 or known.dtype != bool or known.size == 0:
-        raise ValueError("expected a nonempty 2-D boolean mask")
+    known = _check_image(known, "known", kinds="b")
     write_bytes_atomic(path, _netpbm(b"P5", np.where(known, 255, 0).astype(np.uint8)))
 
 
@@ -126,7 +113,7 @@ def _pgm_tokens(data: bytes, count: int):
 
 def read_mask(path) -> np.ndarray:
     """Read a PGM mask; returns boolean (True = known)."""
-    with open(path, "rb") as handle:
+    with open(_check_path(path), "rb") as handle:
         data = handle.read()
     tokens, pos = _pgm_tokens(data, 4)
     if tokens[0] != b"P5":
@@ -158,27 +145,27 @@ def read_mask(path) -> np.ndarray:
 
 
 def render_gray(x) -> bytes:
-    """Binary PGM mapping [-pi, pi) affinely onto gray levels 0..255."""
-    x = _check_image(x)
+    """Binary PGM mapping [-pi, pi) affinely onto gray levels 0..255; ``x``
+    as for :func:`write_phase`."""
+    x = check_phase_image(x, "x", error=FormatError)
     levels = np.floor((x + np.pi) / TWO_PI * 256.0)
     levels = np.clip(levels, 0, 255).astype(np.uint8)
     return _netpbm(b"P5", levels)
 
 
 def render_hue(x) -> bytes:
-    """Binary PPM coloring phase by the HSV hue wheel (cyclic colormap)."""
-    x = _check_image(x)
+    """Binary PPM coloring phase by the HSV hue wheel (cyclic colormap);
+    ``x`` as for :func:`write_phase`."""
+    x = check_phase_image(x, "x", error=FormatError)
     h = (x + np.pi) / TWO_PI * 6.0
     sextant = np.minimum(np.floor(h), 5.0)
-    frac = h - sextant
-    t = frac
-    q = 1.0 - frac
-    one = np.ones_like(frac)
-    zero = np.zeros_like(frac)
+    t = h - sextant
+    q = 1.0 - t
+    one = np.ones_like(t)
+    zero = np.zeros_like(t)
     # Sextant layout of (r, g, b) at full saturation and value.
-    reds = np.choose(sextant.astype(int), [one, q, zero, zero, t, one])
-    greens = np.choose(sextant.astype(int), [t, one, one, q, zero, zero])
-    blues = np.choose(sextant.astype(int), [zero, zero, t, one, one, q])
-    rgb = np.stack([reds, greens, blues], axis=-1)
+    layout = ([one, q, zero, zero, t, one], [t, one, one, q, zero, zero],
+              [zero, zero, t, one, one, q])
+    rgb = np.stack([np.choose(sextant.astype(int), c) for c in layout], axis=-1)
     raster = np.floor(rgb * 255.0 + 0.5).astype(np.uint8)
     return _netpbm(b"P6", raster)

@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import _wrap_array, check_phase_values
-from .model import _FAMILIES, Weights, _check_mask, _family_weights
+from .circle import _wrap_array, check_phase_image
+from .model import _FAMILIES, Weights, _family_weights
 
 # Border of the filled mask: the largest offset, so that every placement of
 # a stencil over an image pixel stays inside it, and one that leaves the
@@ -85,12 +85,8 @@ def _propagate(f, known, weights: Weights):
     """``initialize``, plus what it did: returns ``(x, rounds, filled,
     unreachable)``, the rounds that filled something, the pixels filled
     and the unknown pixels left at 0."""
-    f = np.asarray(f)
-    if f.ndim != 2 or f.size == 0 or np.iscomplexobj(f):
-        raise ValueError(f"f must be a non-empty real 2-D image, got {f.dtype} of shape {f.shape}")
-    f = f.astype(float, copy=False)
-    known = _check_mask(f.shape, known)
-    check_phase_values(f, "f", where=known)
+    f = check_phase_image(f, "f", known)
+    known = np.asarray(known)
     n_rows, n_cols = f.shape
 
     # Flat indices address the filled mask, which has a border of _PAD
@@ -150,8 +146,7 @@ def initialize(f, mask, weights: Weights) -> np.ndarray:
     """Return an image equal to ``f`` on known pixels with the unknown
     region filled by zero-difference propagation.
 
-    ``f`` must be a non-empty real 2-D image with angles in [-pi, pi) on
-    the known pixels; otherwise a ``ValueError`` names the first bad pixel.
-    Its unknown pixels are not read.
+    ``f`` and ``mask`` as :func:`phasetv.circle.check_phase_image` checks
+    them, ``f`` on the known pixels only: the others are not read.
     """
     return _propagate(f, mask, weights)[0]

@@ -14,10 +14,8 @@ direction), second differences by residue mod 3 (three groups per
 direction), mixed differences by the parity pair of the leading pixel
 (four groups).  Groups are labeled 1..18 in that order; label 19 is the
 data term.  Indices are 0-based and the residue-0 class always comes first
-within a family.  Each group is a regular lattice, one strided window of
-the image per stencil position, so it needs no coordinates; only a partial
-lattice carries flat indices, of its leading pixels.  ``energy`` and the
-solver's energy trace both sum the groups in :func:`energy_from_groups`.
+within a family.  ``energy``, :func:`energy_from_groups` and the solver's
+energy trace all sum the groups in ``_energy``.
 """
 
 from __future__ import annotations
@@ -33,10 +31,13 @@ from .circle import (
     MIXED_DIFF,
     SECOND_DIFF,
     DifferenceFilter,
+    _check_choice,
+    _check_image,
     _check_nonnegative,
     _check_shape,
     _near_wrap,
     _tap_sum,
+    check_phase_image,
     check_phase_values,
 )
 
@@ -84,15 +85,6 @@ def _real_entries(name: str, values) -> tuple[float, ...]:
     except TypeError:
         raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}") from None
     return tuple(_check_nonnegative(v, f"each entry of {name}") for v in entries)
-
-
-def _check_mask(shape, mask) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.shape != tuple(shape):
-        raise ValueError(f"mask shape {mask.shape} does not match image shape {tuple(shape)}")
-    if mask.dtype != bool:
-        raise ValueError("mask must be boolean (True = known pixel)")
-    return mask
 
 
 # Stencil families in cycle order: (filter, pixel offsets from the leading
@@ -215,10 +207,9 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
     gets the index form.
     """
     n_rows, n_cols = _check_shape(shape)
-    known = _check_mask((n_rows, n_cols), mask)
-    if model_kind not in MODEL_KINDS:
-        raise ValueError(f"model_kind must be one of {MODEL_KINDS}")
-    unknown = ~known if model_kind == "noiseless" else None
+    known = _check_image(mask, "mask", (n_rows, n_cols), "the image's", kinds="b")
+    noiseless = _check_choice(model_kind, "model_kind", MODEL_KINDS) == "noiseless"
+    unknown = ~known if noiseless else None
 
     groups: list[StencilGroup] = []
     label = 1
@@ -245,7 +236,7 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
     # Mixed classes are labeled 15..18 in the order (0,0),(1,0),(0,1),(1,1)
     # of the leading pixel's (row, col) parity, which the loop above emits
     # because the row residue varies fastest.
-    if model_kind == "noisy":
+    if unknown is None:
         whole = ((slice(0, n_rows, 1), slice(0, n_cols, 1)),)
         groups.append(_lattice_group(DATA_LABEL, None, 1.0, whole, known, known.shape))
     return groups
@@ -304,7 +295,7 @@ def _scratch(groups) -> list[np.ndarray]:
     return [np.empty(width) for _ in range(max(k.arity for k in FILTERS) + 2)]
 
 
-def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_data=None) -> float:
+def energy_from_groups(x, f, groups) -> float:
     """The energy at the 2-D image ``x``, summed over ``groups`` in order.
 
     A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
@@ -313,17 +304,24 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_dat
     forms its tap sums straight from the windows of ``x``; an index form
     and the data term are gathered first.  Either way the tap sums fill one
     contiguous buffer in stencil order, so both forms give the same bits.
-    ``scratch`` optionally holds reusable buffers as made by
-    ``_scratch(groups)``, and ``f_data`` the data term's reference
-    ``gather(f, data_group)[0]``.  Non-finite values give NaN; an ``x`` or
-    ``f`` not of the groups' image shape raises ``ValueError``.
+
+    ``groups`` is a list of :class:`StencilGroup` as :func:`stencil_groups`
+    builds it (empty: 0), ``x`` and ``f`` real images of their image shape,
+    else a ``ValueError`` names the argument.  On purpose no value is
+    checked, at no cost per pixel: NaN or inf gives NaN.
     """
+    if not isinstance(groups, list | tuple) or not all(isinstance(g, StencilGroup) for g in groups):
+        raise ValueError(f"groups must be a list of StencilGroups, got {type(groups).__name__}")
     for name, a in (("x", x), ("f", f)):
-        if groups and np.shape(a) != groups[0].image_shape:
-            raise ValueError(f"{name} has shape {np.shape(a)},"
-                             f" not the groups' {groups[0].image_shape}")
-    if scratch is None:
-        scratch = _scratch(groups)
+        for shape in {g.image_shape for g in groups} or {None}:
+            _check_image(a, name, shape, "the groups'")
+    return _energy(np.asarray(x, dtype=float), np.asarray(f, dtype=float), groups,
+                   _scratch(groups))
+
+
+def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float:
+    """:func:`energy_from_groups` unchecked, with ``scratch`` from ``_scratch(groups)``
+    and, optionally, the data term's reference ``f_data = gather(f, data_group)[0]``."""
     *columns, theta_buf, tmp_buf = scratch
     total = 0
     with np.errstate(invalid="ignore"):
@@ -345,22 +343,16 @@ def energy_from_groups(x: np.ndarray, f: np.ndarray, groups, scratch=None, f_dat
 
 
 def _check_problem(x, f, mask, model_kind: str, start: bool = False):
-    """``(x, f, known)`` as float images and boolean mask, after the
-    checks that ``energy`` and ``run_cppa`` document (``stencil_groups``
-    checks ``model_kind``).  For a solver ``start`` the messages call
-    ``x`` ``x0``."""
+    """``(x, f, known)`` as float images and mask, checked as ``energy`` and ``run_cppa``
+    document, in this order: images and mask, ``f`` on the known pixels, ``x``,
+    ``model_kind``.  For a ``start`` the messages call ``x`` ``x0``."""
     what = "x0" if start else "x"
-    x, f = np.asarray(x), np.asarray(f)
-    for name, a in ((what, x), ("f", f)):
-        if a.ndim != 2 or np.iscomplexobj(a):
-            raise ValueError(f"{name} must be a real 2-D image, got {a.dtype} of shape {a.shape}")
-    if x.shape != f.shape:
-        raise ValueError(f"image shapes disagree: {x.shape} vs {f.shape}")
-    x, f = x.astype(float, copy=False), f.astype(float, copy=False)
-    known = _check_mask(x.shape, mask)
-    check_phase_values(f, "f", where=known)
+    x = _check_image(x, what).astype(float, copy=False)
+    f = check_phase_image(f, "f", mask, shape=x.shape, of=f"{what}'s")
+    known = np.asarray(mask)
     check_phase_values(x, what)
-    if model_kind == "noiseless" and not np.array_equal(x[known], f[known]):
+    noiseless = _check_choice(model_kind, "model_kind", MODEL_KINDS) == "noiseless"
+    if noiseless and not np.array_equal(x[known], f[known]):
         raise ValueError(f"{what} must equal f on known pixels in noiseless mode")
     return x, f, known
 
@@ -368,12 +360,11 @@ def _check_problem(x, f, mask, model_kind: str, start: bool = False):
 def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     """Evaluate the model energy at ``x`` given data ``f``.
 
-    ``x`` and ``f`` must be real 2-D images of one shape, ``x`` with angles
-    in [-pi, pi) on every pixel and ``f`` on the known pixels; otherwise a
-    ``ValueError`` names the argument and the first bad pixel.  In
-    noiseless mode ``x`` must carry the data values on the known pixels
-    exactly; that constraint is part of the model, not a soft term, and a
-    violation raises ``ValueError``.
+    ``x``, ``f`` and ``mask`` are checked as by
+    :func:`phasetv.circle.check_phase_image`, ``x`` on every pixel and
+    ``f`` on the known ones.  In noiseless mode ``x`` must carry the data
+    values on the known pixels exactly; that constraint is part of the
+    model, not a soft term, and a violation raises ``ValueError``.
     """
     x, f, known = _check_problem(x, f, mask, model_kind)
     x = np.ascontiguousarray(x)

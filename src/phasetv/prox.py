@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import (TWO_PI, DifferenceFilter, _check_finite, _check_nonnegative, _scalar,
-                     _signed_wrap, _tap_sum, _wrap_array, check_phase_values)
+from .circle import (TWO_PI, DifferenceFilter, _check_finite, _check_nonnegative,
+                     _check_same_shape, _scalar, _signed_wrap, _tap_sum, _wrap_array,
+                     check_phase_values)
 
 
 def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_out=None):
@@ -71,10 +72,16 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
 
 
 def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> np.ndarray:
-    """Apply the difference prox to every row of an (n, arity) array; the
-    output is wrapped to [-pi, pi).  ``values`` must be finite, else a
-    ``ValueError`` names it."""
+    """Apply the prox of ``filt``, a :class:`DifferenceFilter`, with a finite
+    nonnegative ``lam`` to every row of an (n, arity) array of finite reals
+    (any of them, and n = 0, on purpose); the output is wrapped to
+    [-pi, pi).  Other input raises a ``ValueError`` naming the argument."""
     values = _check_finite(values, "values")
+    lam = _check_nonnegative(lam, "lam")
+    if not isinstance(filt, DifferenceFilter):
+        raise ValueError(f"filt must be a DifferenceFilter, got {filt!r}")
+    if values.ndim != 2 or values.shape[1] != filt.arity:
+        raise ValueError(f"values must be an (n, {filt.arity}) array, got shape {values.shape}")
     cols = [values[:, j].copy() for j in range(filt.arity)]
     shrink_columns(cols, lam, filt)
     out = np.stack(cols, axis=1)
@@ -114,18 +121,17 @@ def prox_data(g, f, lam: float):
     ``f`` lie more than pi apart, so that the average is taken along the
     shorter arc.
 
-    Accepts scalars or arrays of any (common) shape.  ``g`` and ``f`` must
-    hold angles in [-pi, pi) and ``lam`` must be a nonnegative real
-    number; otherwise a ``ValueError`` names the argument.  ``lam = 0``
-    returns ``g`` unchanged; ``lam -> inf`` approaches ``f``.
+    Accepts scalars or arrays of any common shape, empty ones included, on
+    purpose.  ``g`` and ``f`` must hold angles in [-pi, pi) and ``lam`` be a
+    finite nonnegative real; otherwise a ``ValueError`` names the argument.
+    ``lam = 0`` returns ``g`` unchanged; ``lam -> inf`` approaches ``f``.
     """
     lam = _check_nonnegative(lam, "lam")
+    _check_same_shape("f", np.shape(f), np.shape(g), "g's")
+    check_phase_values(g, "g")
+    check_phase_values(f, "f")
     out = np.array(g, dtype=float)
     f = np.asarray(f, dtype=float)
-    if out.shape != f.shape:
-        raise ValueError(f"shape mismatch: {out.shape} vs {f.shape}")
-    check_phase_values(out, "g")
-    check_phase_values(f, "f")
     if lam != 0.0:
         _prox_data_into(out, f, lam, np.empty(out.shape), np.empty(out.shape))
     return _scalar(out)

@@ -32,8 +32,7 @@ from functools import partial
 import numpy as np
 
 from .circle import _check_int, _check_real, _wrap_array
-from .model import (Weights, _bind, _check_problem, _scratch, energy_from_groups, gather,
-                    stencil_groups)
+from .model import Weights, _bind, _check_problem, _energy, _scratch, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
 
 # The largest lambda0: the noisy data prox forms f * 2*lambda0 with |f| <= pi,
@@ -75,7 +74,7 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolverReport:
-    """What :func:`run_cppa` returns: the final ``image``, the
+    """What :func:`run_cppa` returns, unchecked: the final ``image``, the
     ``energy_trace`` of (sweep, energy) pairs, ``sweeps`` and ``wall_time``."""
 
     image: np.ndarray
@@ -117,12 +116,10 @@ def run_cppa(
     """Minimize the chosen model energy starting from ``x0``.
 
     ``x0`` is typically the output of the initializer and must agree with
-    ``f`` on known pixels in noiseless mode.  Both are real 2-D images of
-    one shape, ``x0`` with angles in [-pi, pi) on every pixel and ``f`` on
-    the known pixels; a violation, NaN and inf included, raises
-    ``ValueError`` naming the argument and the first bad pixel.  An energy
-    that overflows, which only weights near the largest float cause,
-    raises :class:`NumericalError`.  Returns the final image, the energy
+    ``f`` on known pixels in noiseless mode.  ``x0``, ``f`` and ``mask``
+    are checked as by :func:`energy`; ``config`` None (on purpose) runs
+    ``SolverConfig()``.  An overflowing energy raises
+    :class:`NumericalError`.  Returns the final image, the energy
     trace as (sweep, energy) pairs (sweep 0 is the energy of ``x0``), the
     executed sweep count and the wall time in seconds.  Each energy is
     that of the image after the sweep's wrap, so the last one is
@@ -183,7 +180,7 @@ def run_cppa(
             _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
 
     def record(trace, sweep):
-        value = energy_from_groups(x2d, f, groups, scratch, f_data)
+        value = _energy(x2d, f, groups, scratch, f_data)
         if not np.isfinite(value):
             raise NumericalError(f"energy became non-finite at sweep {sweep}")
         trace.append((sweep, value))

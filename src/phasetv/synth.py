@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import (_check_finite, _check_int, _check_nonnegative, _check_real, _check_shape,
-                     _wrap_array, dist)
+from .circle import (_check_choice, _check_finite, _check_int, _check_nonnegative, _check_real,
+                     _check_same_shape, _check_shape, _wrap_array, dist)
 
 
 def _check_seed(seed) -> int:
@@ -22,7 +22,7 @@ def gen_atan2(n: int) -> np.ndarray:
     circle along any loop enclosing the center.
     """
     if _check_int(n, "n") < 2:
-        raise ValueError("need at least a 2x2 grid")
+        raise ValueError("n must be at least 2")
     coords = np.linspace(-0.5, 0.5, n)
     return _wrap_array(np.arctan2(coords[:, None], coords[None, :]))
 
@@ -30,20 +30,18 @@ def gen_atan2(n: int) -> np.ndarray:
 def gen_wrapped_ramp(shape, slope: float, direction: str = "horizontal") -> np.ndarray:
     """Linear phase ramp wrapped to [-pi, pi).
 
-    ``direction`` selects the coordinate the ramp follows: "horizontal"
-    increases along columns, "vertical" along rows.
+    ``slope`` is any finite real, in radians per pixel; ``direction``
+    selects the coordinate the ramp follows: "horizontal" increases along
+    columns, "vertical" along rows.
     """
     n_rows, n_cols = _check_shape(shape)
     slope = _check_real(slope, "slope")
     if not np.isfinite(slope):
         raise ValueError("slope must be finite")
-    if direction == "horizontal":
-        line = slope * np.arange(n_cols, dtype=float)
-        return _wrap_array(np.broadcast_to(line, (n_rows, n_cols)).copy())
-    if direction == "vertical":
-        line = slope * np.arange(n_rows, dtype=float)
-        return _wrap_array(np.broadcast_to(line[:, None], (n_rows, n_cols)).copy())
-    raise ValueError("direction must be 'horizontal' or 'vertical'")
+    horizontal = _check_choice(direction, "direction", ("horizontal", "vertical")) == "horizontal"
+    line = slope * np.arange(n_cols if horizontal else n_rows, dtype=float)
+    line = line if horizontal else line[:, None]
+    return _wrap_array(np.broadcast_to(line, (n_rows, n_cols)).copy())
 
 
 def gen_blocks(shape=(128, 128)) -> np.ndarray:
@@ -112,8 +110,7 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
     the far edge is clipped to the image.
     """
     n_rows, n_cols = _check_shape(shape)
-    if orientation not in ("vertical", "horizontal"):
-        raise ValueError("orientation must be 'vertical' or 'horizontal'")
+    _check_choice(orientation, "orientation", ("vertical", "horizontal"))
     start = _check_int(start, "start")
     width = _check_int(width, "width")
     if width < 0:
@@ -132,9 +129,9 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
 def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     """Add centered Gaussian noise of standard deviation ``sigma``, wrapped.
 
-    ``x`` must be finite, ``sigma`` a finite nonnegative real and ``seed``
-    a nonnegative integer, neither a bool, else a ``ValueError`` names the
-    argument."""
+    ``x`` must hold finite reals (of any shape and range, on purpose: the
+    result is wrapped), ``sigma`` a finite nonnegative real and ``seed`` a
+    nonnegative integer, neither a bool, else a ``ValueError`` names one."""
     x = _check_finite(x, "x")
     sigma = _check_nonnegative(sigma, "sigma")
     seed = _check_seed(seed)
@@ -145,14 +142,13 @@ def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
 
 
 def cyclic_error(x, y) -> tuple[float, float]:
-    """Mean squared and maximal geodesic error between two phase images
-    of one shape; empty images, or a non-finite value in either, raise
-    ``ValueError``."""
+    """Mean squared and maximal geodesic error between two non-empty arrays
+    of finite reals of one shape, else a ``ValueError`` names one; any
+    shape and any finite values (read modulo 2*pi) on purpose."""
     x = _check_finite(x, "x")
     y = _check_finite(y, "y")
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
+    _check_same_shape("y", y.shape, x.shape, "x's")
     if x.size == 0:
-        raise ValueError(f"cyclic_error needs non-empty images, got shape {x.shape}")
+        raise ValueError(f"x and y must be non-empty, got shape {x.shape}")
     d = dist(x, y)
     return float(np.mean(d**2)), float(np.max(d))

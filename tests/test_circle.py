@@ -161,6 +161,18 @@ def test_dist_examples():
     assert dist(-np.pi / 2, np.pi / 2) == pytest.approx(np.pi, abs=1e-15)
 
 
+def test_dist_of_far_apart_operands_does_not_overflow():
+    # q - p overflows here; dist subtracts the wrapped operands instead, so
+    # neither a numpy overflow warning (an error under this suite's
+    # filterwarnings) nor wrap's check of its own argument is reached.
+    big = np.finfo(float).max
+    for p, q in ((1e308, -1e308), (big, -big), (-big, 1e308), (1e308, 0.5)):
+        assert dist(p, q) == abs(wrap(wrap(q) - wrap(p)))
+        assert 0.0 <= dist(p, q) <= np.pi
+    got = dist(np.array([1e308, 0.5]), np.array([-1e308, 0.25]))
+    assert np.array_equal(got, [dist(1e308, -1e308), 0.25])
+
+
 def test_dist_properties():
     rng = np.random.default_rng(2)
     p, q, r = (rng.uniform(-np.pi, np.pi, 300) for _ in range(3))

@@ -121,3 +121,10 @@ def test_wrap_is_the_identity_on_canonical_angles(t):
     bits = np.array(t).view(np.uint64)
     assert np.array(wrap(t)).view(np.uint64) == bits
     assert _wrap_array(np.array([t])).view(np.uint64)[0] == bits
+
+
+@settings(max_examples=500, deadline=None)
+@given(p=_canonical, q=_canonical)
+def test_dist_of_canonical_angles_is_abs_wrap_of_their_difference(p, q):
+    # dist subtracts the wrapped operands, which are the operands bit for bit.
+    assert np.array(dist(p, q)).view(np.uint64) == np.array(abs(wrap(q - p))).view(np.uint64)

@@ -364,14 +364,16 @@ def test_image_arguments_must_be_real_2d_images():
     known = np.ones((3, 4), bool)
     known[1, 1] = False
     w = Weights(alpha=(1, 1, 0, 0), beta=(0, 0), gamma=0.0)
-    z = f + 0j
+    z, e = f + 0j, np.zeros((0, 5))
+    rule = "must be a non-empty real 2-D image, got"
     for x, g, bad, got in ((z, f, "x", "complex128"), (f, z, "f", "complex128"),
-                           (f[None], f[None], "x", r"float64 of shape \(1, 3, 4\)")):
+                           (f[None], f[None], "x", r"float64 of shape \(1, 3, 4\)"),
+                           (e, e, "x", r"float64 of shape \(0, 5\)")):
         for kind in ("noiseless", "noisy"):
-            with pytest.raises(ValueError, match=rf"^{bad} must be a real 2-D image, got {got}"):
+            with pytest.raises(ValueError, match=rf"^{bad} {rule} {got}"):
                 energy(x, g, known, w, kind)
             start = "x0" if bad == "x" else bad
-            with pytest.raises(ValueError, match=rf"^{start} must be a real 2-D image, got {got}"):
+            with pytest.raises(ValueError, match=rf"^{start} {rule} {got}"):
                 run_cppa(x, g, known, w, kind, SolverConfig(max_sweeps=1))
     with pytest.raises(ValueError, match="^f must be a non-empty real 2-D image, got complex"):
         initialize(z, known, w)
