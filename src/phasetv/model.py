@@ -33,7 +33,7 @@ from .circle import (
     DifferenceFilter,
     _check_choice,
     _check_image,
-    _check_nonnegative,
+    _check_number,
     _check_shape,
     _near_wrap,
     _tap_sum,
@@ -56,8 +56,7 @@ class Weights:
     vertical, diagonal, anti-diagonal; the diagonal pair is internally
     scaled by 1/sqrt(2)).  ``beta`` weights the horizontal and vertical
     second differences, ``gamma`` the mixed 2x2 difference.  All entries
-    must be real numbers (Python or numpy ints and floats, not bools),
-    nonnegative and at least one positive; they are stored as floats.
+    are reals in [0, largest float], at least one positive, stored as floats.
     """
 
     alpha: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -67,7 +66,7 @@ class Weights:
     def __post_init__(self):
         alpha = _real_entries("alpha", self.alpha)
         beta = _real_entries("beta", self.beta)
-        gamma = _check_nonnegative(self.gamma, "gamma")
+        gamma = _check_number(self.gamma, "gamma", 0.0)
         if len(alpha) != 4 or len(beta) != 2:
             raise ValueError("alpha needs 4 entries and beta 2")
         object.__setattr__(self, "alpha", alpha)
@@ -84,7 +83,7 @@ def _real_entries(name: str, values) -> tuple[float, ...]:
         entries = tuple(values)
     except TypeError:
         raise ValueError(f"{name} must be a sequence of real numbers, got {values!r}") from None
-    return tuple(_check_nonnegative(v, f"each entry of {name}") for v in entries)
+    return tuple(_check_number(v, f"each entry of {name}", 0.0) for v in entries)
 
 
 # Stencil families in cycle order: (filter, pixel offsets from the leading

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import (TWO_PI, DifferenceFilter, _check_finite, _check_nonnegative,
+from .circle import (_LAMBDA0_MAX, TWO_PI, DifferenceFilter, _check_finite, _check_number,
                      _check_same_shape, _scalar, _signed_wrap, _tap_sum, _wrap_array,
                      check_phase_values)
 
@@ -73,16 +73,16 @@ def shrink_columns(cols, lam: float, filt: DifferenceFilter, theta_buf=None, ste
 
 def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> np.ndarray:
     """Apply the prox of ``filt``, a :class:`DifferenceFilter`, with a finite
-    nonnegative ``lam`` to every row of an (n, arity) array of finite reals
-    (any of them, and n = 0, on purpose); the output is wrapped to
+    ``lam`` >= 0 to every row of an (n, arity) array of finite reals (any,
+    wrapped first, and n = 0, on purpose); the output is wrapped to
     [-pi, pi).  Other input raises a ``ValueError`` naming the argument."""
     values = _check_finite(values, "values")
-    lam = _check_nonnegative(lam, "lam")
+    lam = _check_number(lam, "lam", 0.0)
     if not isinstance(filt, DifferenceFilter):
         raise ValueError(f"filt must be a DifferenceFilter, got {filt!r}")
     if values.ndim != 2 or values.shape[1] != filt.arity:
         raise ValueError(f"values must be an (n, {filt.arity}) array, got shape {values.shape}")
-    cols = [values[:, j].copy() for j in range(filt.arity)]
+    cols = [_wrap_array(values[:, j]) for j in range(filt.arity)]
     shrink_columns(cols, lam, filt)
     out = np.stack(cols, axis=1)
     return _wrap_array(out, out=out)
@@ -122,11 +122,11 @@ def prox_data(g, f, lam: float):
     shorter arc.
 
     Accepts scalars or arrays of any common shape, empty ones included, on
-    purpose.  ``g`` and ``f`` must hold angles in [-pi, pi) and ``lam`` be a
-    finite nonnegative real; otherwise a ``ValueError`` names the argument.
-    ``lam = 0`` returns ``g`` unchanged; ``lam -> inf`` approaches ``f``.
+    purpose.  ``g`` and ``f`` must hold angles in [-pi, pi) and ``lam`` be in
+    [0, 1e300]; otherwise a ``ValueError`` names the argument.  ``lam = 0``
+    returns ``g`` unchanged; a large ``lam`` approaches ``f``.
     """
-    lam = _check_nonnegative(lam, "lam")
+    lam = _check_number(lam, "lam", 0.0, _LAMBDA0_MAX)
     _check_same_shape("f", np.shape(f), np.shape(g), "g's")
     check_phase_values(g, "g")
     check_phase_values(f, "f")

@@ -31,13 +31,9 @@ from functools import partial
 
 import numpy as np
 
-from .circle import _check_int, _check_real, _wrap_array
+from .circle import _LAMBDA0_MAX, _check_number, _wrap_array
 from .model import Weights, _bind, _check_problem, _energy, _scratch, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
-
-# The largest lambda0: the noisy data prox forms f * 2*lambda0 with |f| <= pi,
-# which overflows from about 2.9e307.
-_LAMBDA0_MAX = 1e300
 
 # Pixels per block of the once-per-sweep wrap: it caps the scratch at 256 KB
 # (2 MB for a whole 512^2 image).  It buys no speed: on 262,144 pixels the whole
@@ -54,9 +50,10 @@ class NumericalError(RuntimeError):
 class SolverConfig:
     """Run parameters for :func:`run_cppa`.
 
-    ``lambda0`` is a real number in (0, 1e300].  Energies are
-    recorded every ``record_energy_every`` sweeps, plus always at sweep 0
-    and the final sweep.
+    ``lambda0`` is a real number in (0, 1e300], ``max_sweeps`` and
+    ``record_energy_every`` positive integers.  Energies are recorded every
+    ``record_energy_every`` sweeps, plus always at sweep 0 and the final
+    sweep.
     """
 
     lambda0: float = np.pi / 2.0
@@ -64,11 +61,10 @@ class SolverConfig:
     record_energy_every: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda0", _check_lambda0(self.lambda0))
+        lambda0 = _check_number(self.lambda0, "lambda0", 0.0, _LAMBDA0_MAX, open_lo=True)
+        object.__setattr__(self, "lambda0", lambda0)
         for name in ("max_sweeps", "record_energy_every"):
-            value = _check_int(getattr(self, name), name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1")
+            value = _check_number(getattr(self, name), name, 1, integer=True)
             object.__setattr__(self, name, value)
 
 
@@ -83,15 +79,6 @@ class SolverReport:
     wall_time: float
 
 
-def _check_lambda0(value) -> float:
-    """``value`` as a float; ``ValueError`` naming lambda0 unless it is a
-    real number in (0, ``_LAMBDA0_MAX``]."""
-    lambda0 = _check_real(value, "lambda0")
-    if not 0.0 < lambda0 <= _LAMBDA0_MAX:
-        raise ValueError(f"lambda0 must be positive and at most {_LAMBDA0_MAX:g}")
-    return lambda0
-
-
 def lambda_schedule(k: int, lambda0: float) -> float:
     """Step parameter of sweep ``k`` (0-based): lambda0 / (k + 1).
 
@@ -100,9 +87,8 @@ def lambda_schedule(k: int, lambda0: float) -> float:
     nonnegative integer and ``lambda0`` in (0, 1e300], as for
     :class:`SolverConfig`; otherwise a ``ValueError`` names the argument.
     """
-    if _check_int(k, "k") < 0:
-        raise ValueError("sweep index k must be nonnegative")
-    return _check_lambda0(lambda0) / (k + 1.0)
+    k = _check_number(k, "k", 0, integer=True)
+    return _check_number(lambda0, "lambda0", 0.0, _LAMBDA0_MAX, open_lo=True) / (k + 1.0)
 
 
 def run_cppa(

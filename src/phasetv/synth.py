@@ -4,42 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle import (_check_choice, _check_finite, _check_int, _check_nonnegative, _check_real,
-                     _check_same_shape, _check_shape, _wrap_array, dist)
-
-
-def _check_seed(seed) -> int:
-    seed = _check_int(seed, "seed")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    return seed
+from .circle import (_FLOAT_MAX, _check_choice, _check_finite, _check_number, _check_same_shape,
+                     _check_shape, _wrap_array, dist)
 
 
 def gen_atan2(n: int) -> np.ndarray:
     """Angular coordinate field sampled on an n x n grid over [-1/2, 1/2]^2.
 
     Pixel (i, j) carries atan2(y_i, x_j); the result winds once around the
-    circle along any loop enclosing the center.
+    circle along any loop enclosing the center.  ``n`` is an integer of at least 2.
     """
-    if _check_int(n, "n") < 2:
-        raise ValueError("n must be at least 2")
-    coords = np.linspace(-0.5, 0.5, n)
+    coords = np.linspace(-0.5, 0.5, _check_number(n, "n", 2, integer=True))
     return _wrap_array(np.arctan2(coords[:, None], coords[None, :]))
 
 
 def gen_wrapped_ramp(shape, slope: float, direction: str = "horizontal") -> np.ndarray:
     """Linear phase ramp wrapped to [-pi, pi).
 
-    ``slope`` is any finite real, in radians per pixel; ``direction``
-    selects the coordinate the ramp follows: "horizontal" increases along
-    columns, "vertical" along rows.
+    ``slope``, in radians per pixel, has |slope| <= (largest float) / (n - 1)
+    rounded down, for the n pixels of a line; ``direction`` selects the
+    coordinate the ramp follows: "horizontal" increases along columns,
+    "vertical" along rows.
     """
     n_rows, n_cols = _check_shape(shape)
-    slope = _check_real(slope, "slope")
-    if not np.isfinite(slope):
-        raise ValueError("slope must be finite")
     horizontal = _check_choice(direction, "direction", ("horizontal", "vertical")) == "horizontal"
-    line = slope * np.arange(n_cols if horizontal else n_rows, dtype=float)
+    n = n_cols if horizontal else n_rows
+    # Rounded down: the quotient rounded to nearest may overflow times n - 1.
+    bound = np.nextafter(_FLOAT_MAX / max(n - 1, 1), 0.0)
+    line = _check_number(slope, "slope", -bound, bound) * np.arange(n, dtype=float)
     line = line if horizontal else line[:, None]
     return _wrap_array(np.broadcast_to(line, (n_rows, n_cols)).copy())
 
@@ -53,9 +45,7 @@ def gen_blocks(shape=(128, 128)) -> np.ndarray:
     block increases linearly downward, spanning 4 pi radians (two wraps)
     from its first to its last row.
     """
-    n_rows, n_cols = _check_shape(shape)
-    if n_rows < 64 or n_cols < 64:
-        raise ValueError("blocks image needs shape at least 64x64")
+    n_rows, n_cols = _check_shape(shape, least=64)
     x = np.full((n_rows, n_cols), -2.0)
     c0, c1 = round(0.2 * n_cols), round(0.8 * n_cols)
     x[round(0.15 * n_rows):round(0.45 * n_rows), c0:c1] = 1.0
@@ -76,15 +66,11 @@ def mask_subsample3(shape) -> np.ndarray:
 def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
     """Destroy exactly round(fraction_lost * N * M) pixels, uniformly.
 
-    ``fraction_lost`` must be a real in [0, 1] and ``seed`` a nonnegative
-    integer, neither a bool, else a ``ValueError`` names the argument."""
+    ``fraction_lost`` is in [0, 1] and ``seed`` a nonnegative integer."""
     n_rows, n_cols = _check_shape(shape)
-    fraction_lost = _check_real(fraction_lost, "fraction_lost")
-    if not (0.0 <= fraction_lost <= 1.0):
-        raise ValueError(f"fraction_lost must lie in [0, 1], got {fraction_lost!r}")
-    seed = _check_seed(seed)
+    fraction_lost = _check_number(fraction_lost, "fraction_lost", 0.0, 1.0)
     count = int(round(fraction_lost * n_rows * n_cols))
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_number(seed, "seed", 0, integer=True))
     lost = rng.choice(n_rows * n_cols, size=count, replace=False)
     known = np.ones(n_rows * n_cols, dtype=bool)
     known[lost] = False
@@ -92,9 +78,10 @@ def mask_random(shape, fraction_lost: float, seed: int) -> np.ndarray:
 
 
 def mask_disc(shape, radius: float) -> np.ndarray:
-    """Unknown disc of the given radius at the center of the image."""
+    """Unknown disc of the given nonnegative radius at the center of the
+    image; a radius above n_rows + n_cols, all unknown, is clamped to it."""
     n_rows, n_cols = _check_shape(shape)
-    radius = _check_nonnegative(radius, "radius")
+    radius = min(_check_number(radius, "radius", 0.0), n_rows + n_cols)
     rr = np.arange(n_rows)[:, None] - (n_rows - 1) / 2.0
     cc = np.arange(n_cols)[None, :] - (n_cols - 1) / 2.0
     return rr**2 + cc**2 > radius**2
@@ -104,20 +91,15 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
     """Unknown strip of ``width`` consecutive columns (vertical) or rows
     (horizontal), the first of them ``start``.
 
-    ``start`` and ``width`` must be nonnegative integers (not bools), and
-    ``start`` must lie inside the image along the chosen orientation;
-    otherwise a ``ValueError`` names the argument.  A band that runs past
+    ``width`` is a nonnegative integer and ``start`` one that indexes a
+    line of the image along the chosen orientation.  A band that runs past
     the far edge is clipped to the image.
     """
     n_rows, n_cols = _check_shape(shape)
     _check_choice(orientation, "orientation", ("vertical", "horizontal"))
-    start = _check_int(start, "start")
-    width = _check_int(width, "width")
-    if width < 0:
-        raise ValueError(f"width must be nonnegative, got {width}")
-    extent, lines = (n_cols, "columns") if orientation == "vertical" else (n_rows, "rows")
-    if not 0 <= start < extent:
-        raise ValueError(f"start must index one of the image's {extent} {lines}, got {start}")
+    extent = n_cols if orientation == "vertical" else n_rows
+    start = _check_number(start, "start", 0, extent - 1, integer=True)
+    width = _check_number(width, "width", 0, integer=True)
     known = np.ones((n_rows, n_cols), dtype=bool)
     if orientation == "vertical":
         known[:, start : start + width] = False
@@ -129,16 +111,13 @@ def mask_band(shape, start: int, width: int, orientation: str = "vertical") -> n
 def add_wrapped_gaussian_noise(x, sigma: float, seed: int) -> np.ndarray:
     """Add centered Gaussian noise of standard deviation ``sigma``, wrapped.
 
-    ``x`` must hold finite reals (of any shape and range, on purpose: the
-    result is wrapped), ``sigma`` a finite nonnegative real and ``seed`` a
-    nonnegative integer, neither a bool, else a ``ValueError`` names one."""
-    x = _check_finite(x, "x")
-    sigma = _check_nonnegative(sigma, "sigma")
-    seed = _check_seed(seed)
-    if sigma == 0:
-        return _wrap_array(x)
-    rng = np.random.default_rng(seed)
-    return _wrap_array(x + sigma * rng.standard_normal(x.shape))
+    ``x`` must hold finite reals (of any shape and range, on purpose: it is
+    wrapped first), ``sigma`` be in [0, 1e300] and ``seed`` a nonnegative
+    integer, else a ``ValueError`` names the argument."""
+    x = _wrap_array(_check_finite(x, "x"))
+    sigma = _check_number(sigma, "sigma", 0.0, 1e300)
+    rng = np.random.default_rng(_check_number(seed, "seed", 0, integer=True))
+    return x if sigma == 0 else _wrap_array(x + sigma * rng.standard_normal(x.shape))
 
 
 def cyclic_error(x, y) -> tuple[float, float]:

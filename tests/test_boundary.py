@@ -4,10 +4,12 @@
 and for each argument the kind of value it takes.  Each kind yields the
 bad-input classes of ``_cases`` (bool, str, None and complex; NaN and
 +-inf; the wrong number of dimensions and an empty value; a value out of
-range), and each class must raise a ``ValueError`` whose message names the
-argument, or a ``FormatError`` for the content of a file the callable
-reads.  A row may list a class as accepted on purpose: the call must then
-return normally, and the callable's docstring says so.
+range; for a real, its entries or an array, +-the largest float), and each
+class must raise a ``ValueError`` whose message names the argument, or a
+``FormatError`` for the content of a file the callable reads.  A row may
+list a class as accepted on purpose: the call must then return normally,
+with a finite result for the largest float, and the callable's docstring
+says so.
 """
 
 from __future__ import annotations
@@ -23,6 +25,11 @@ from phasetv import FIRST_DIFF, FormatError, SolverConfig, Weights
 
 SHAPE = (8, 8)
 CLASSES = ("bool", "str", "None", "complex", "nan", "inf", "-inf", "ndim", "empty", "range")
+# The largest float and its negative: no accepted number may overflow inside
+# the library.  An array gets both, next to each other, so that a difference
+# of neighbours overflows unless the input is wrapped first.
+LARGEST = ("max", "-max")
+HUGE = np.finfo(float).max
 W = Weights(alpha=(1.0, 1.0, 0.0, 0.0), beta=(1.0, 1.0), gamma=1.0)
 F = np.random.default_rng(0).uniform(-np.pi, np.pi, SHAPE)
 # Unknown in the middle, known at the corners, so that pixel (0, 0) is read.
@@ -48,9 +55,9 @@ class Row:
     together: tuple = ()
 
 
-def _at_first(v, value):
+def _at_first(v, *values):
     a = np.array(v, dtype=float)
-    a.flat[0] = value
+    a.flat[:len(values)] = values
     return a
 
 
@@ -65,7 +72,8 @@ def _cases(kind, valid, tmp_path):
         return {"bool": v.astype(bool), "str": v.astype(str), "None": None, "complex": v + 1j,
                 "nan": _at_first(v, np.nan), "inf": _at_first(v, np.inf),
                 "-inf": _at_first(v, -np.inf), "ndim": v[None],
-                "empty": v[:0] if v.ndim else v[None][:0], "range": _at_first(v, 4.0)}
+                "empty": v[:0] if v.ndim else v[None][:0], "range": _at_first(v, 4.0),
+                "max": _at_first(v, HUGE, -HUGE), "-max": _at_first(v, -HUGE, HUGE)}
     if kind == "mask":
         m = np.asarray(valid)
         return {"bool": True, "str": m.astype(str), "None": None, "complex": m + 1j,
@@ -73,7 +81,8 @@ def _cases(kind, valid, tmp_path):
                 "-inf": np.full(m.shape, -np.inf), "ndim": m[None], "empty": m[:0],
                 "range": m.astype(np.uint8) * 255}
     if kind == "real":
-        return {**common, "ndim": np.ones(2), "empty": np.ones(0), "range": -1.0}
+        return {**common, "ndim": np.ones(2), "empty": np.ones(0), "range": -1.0,
+                "max": HUGE, "-max": -HUGE}
     if kind == "int":
         return {**common, "ndim": np.ones(2, int), "empty": np.ones(0, int), "range": -1}
     if kind == "shape":
@@ -86,7 +95,8 @@ def _cases(kind, valid, tmp_path):
         rest = tuple(valid[1:])
         return {**common, "str": "a" * len(valid), "nan": (np.nan,) + rest,
                 "inf": (np.inf,) + rest, "-inf": (-np.inf,) + rest,
-                "ndim": np.ones((len(valid), 1)), "empty": (), "range": (-1.0,) + rest}
+                "ndim": np.ones((len(valid), 1)), "empty": (), "range": (-1.0,) + rest,
+                "max": (HUGE,) + rest, "-max": (-HUGE,) + rest}
     if kind == "taps":
         return {**common, "str": "ab", "nan": (np.nan, 1.0), "inf": (np.inf, 1.0),
                 "-inf": (-np.inf, 1.0), "ndim": ((-1.0, 1.0),), "empty": (), "range": (-2.0, 2.0)}
@@ -125,6 +135,7 @@ def _rows(tmp_path):
     image, mask, real, int_, choice, obj = "array", "mask", "real", "int", "choice", "object"
     problem = {"mask": mask, "weights": obj, "model_kind": choice}
     any_array = {"ndim", "empty", "range"}
+    huge, every = set(LARGEST), set(CLASSES + LARGEST)
     run = dict(x0=X0, f=F, mask=KNOWN, weights=W, model_kind="noiseless",
                config=SolverConfig(max_sweeps=1))
     record = dict(image=X0, energy_trace=((0, 1.0),), sweeps=1, wall_time=0.0)
@@ -135,29 +146,31 @@ def _rows(tmp_path):
         "FormatError": Row(FormatError, {}, {}),
         "NumericalError": Row(phasetv.NumericalError, {}, {}),
         "DifferenceFilter": Row(phasetv.DifferenceFilter, dict(taps=(-1.0, 1.0), name="first"),
-                                dict(taps="taps", name=real), accepted={"name": set(CLASSES)}),
+                                dict(taps="taps", name=real), accepted={"name": every}),
         "SolverConfig": Row(SolverConfig, dict(lambda0=1.0, max_sweeps=1, record_energy_every=1),
                             dict(lambda0=real, max_sweeps=int_, record_energy_every=int_)),
         "SolverReport": Row(phasetv.SolverReport, record, dict.fromkeys(record, real),
-                            accepted=dict.fromkeys(record, set(CLASSES))),
+                            accepted=dict.fromkeys(record, every)),
         "Weights": Row(Weights, dict(alpha=W.alpha, beta=W.beta, gamma=1.0),
-                       dict(alpha="entries", beta="entries", gamma=real)),
+                       dict(alpha="entries", beta="entries", gamma=real),
+                       accepted={"alpha": {"max"}, "beta": {"max"}, "gamma": {"max"}}),
+        # sigma at the top of its interval, so that a huge x meets a huge noise.
         "add_wrapped_gaussian_noise": Row(phasetv.add_wrapped_gaussian_noise,
-                                          dict(x=F, sigma=0.1, seed=0),
+                                          dict(x=F, sigma=1e300, seed=0),
                                           dict(x=image, sigma=real, seed=int_),
-                                          accepted={"x": any_array}),
+                                          accepted={"x": any_array | huge}),
         "cyclic_error": Row(phasetv.cyclic_error, dict(x=F, y=X0), dict(x=image, y=image),
-                            accepted={"x": {"ndim", "range"}, "y": {"ndim", "range"}},
+                            accepted=dict.fromkeys(("x", "y"), {"ndim", "range"} | huge),
                             together=("x", "y")),
         "dist": Row(phasetv.dist, dict(p=0.5, q=0.25), dict(p=image, q=image),
-                    accepted={"p": any_array, "q": any_array}),
+                    accepted={"p": any_array | huge, "q": any_array | huge}),
         "energy": Row(phasetv.energy, dict(x=X0, f=F, mask=KNOWN, weights=W,
                                            model_kind="noiseless"),
                       dict(x=image, f=image, **problem)),
         "energy_from_groups": Row(phasetv.energy_from_groups, dict(x=X0, f=F, groups=GROUPS),
                                   dict(x=image, f=image, groups=obj),
-                                  accepted={"x": {"nan", "inf", "-inf", "range"},
-                                            "f": {"nan", "inf", "-inf", "range"},
+                                  accepted={"x": {"nan", "inf", "-inf", "range"} | huge,
+                                            "f": {"nan", "inf", "-inf", "range"} | huge,
                                             "groups": {"empty"}}),
         "enumerate_stencils": Row(phasetv.enumerate_stencils,
                                   dict(shape=SHAPE, mask=KNOWN, weights=W, model_kind="noisy"),
@@ -176,7 +189,7 @@ def _rows(tmp_path):
                          dict(shape=SHAPE, start=2, width=2, orientation="vertical"),
                          dict(shape="shape", start=int_, width=int_, orientation=choice)),
         "mask_disc": Row(phasetv.mask_disc, dict(shape=SHAPE, radius=2.0),
-                         dict(shape="shape", radius=real)),
+                         dict(shape="shape", radius=real), accepted={"radius": {"max"}}),
         "mask_random": Row(phasetv.mask_random, dict(shape=SHAPE, fraction_lost=0.2, seed=0),
                            dict(shape="shape", fraction_lost=real, seed=int_)),
         "mask_subsample3": Row(phasetv.mask_subsample3, dict(shape=SHAPE), dict(shape="shape")),
@@ -187,7 +200,7 @@ def _rows(tmp_path):
         "prox_diff_batch": Row(phasetv.prox_diff_batch,
                                dict(values=F[:3, :2], lam=0.5, filt=FIRST_DIFF),
                                dict(values=image, lam=real, filt=obj),
-                               accepted={"values": {"empty", "range"}}),
+                               accepted={"values": {"empty", "range"} | huge, "lam": {"max"}}),
         "read_mask": Row(phasetv.read_mask, dict(path=tmp_path / "known.pgm"),
                          dict(path="mask file")),
         "read_phase": Row(phasetv.read_phase, dict(path=tmp_path / "f.phase"),
@@ -196,7 +209,7 @@ def _rows(tmp_path):
         "render_hue": Row(phasetv.render_hue, dict(x=F), dict(x=image)),
         "run_cppa": Row(phasetv.run_cppa, run, dict(x0=image, f=image, config=obj, **problem),
                         accepted={"config": {"None"}}),
-        "wrap": Row(phasetv.wrap, dict(t=0.5), dict(t=image), accepted={"t": any_array}),
+        "wrap": Row(phasetv.wrap, dict(t=0.5), dict(t=image), accepted={"t": any_array | huge}),
         "write_mask": Row(phasetv.write_mask, dict(path=str(tmp_path / "m.pgm"), known=KNOWN),
                           dict(path="path", known=mask), accepted={"path": {"str"}}),
         "write_phase": Row(phasetv.write_phase, dict(path=str(tmp_path / "x.phase"), x=F),
@@ -220,16 +233,20 @@ def _outcome(row: Row, args: dict, arg: str, cls: str):
     accepted = cls in row.accepted.get(arg, ())
     file_content = row.kinds[arg].endswith("file") and cls not in ("bool", "None", "complex")
     try:
-        row.func(**args)
+        result = row.func(**args)
     except ValueError as exc:
         if accepted:
             return f"raised {exc!r}, but the row accepts it"
         if file_content:
             return None if isinstance(exc, FormatError) else f"raised {exc!r}, not a FormatError"
         return None if _names(str(exc), arg) else f"raised {exc!r}, which does not name {arg}"
-    except Exception as exc:  # anything but a ValueError is a failure
+    except Exception as exc:  # anything but a ValueError, a warning included, is a failure
         return f"raised {type(exc).__name__}: {exc}"
-    return None if accepted else "was accepted"
+    if not accepted:
+        return "was accepted"
+    if cls in LARGEST and np.asarray(result).dtype.kind in "biuf":
+        return None if np.isfinite(result).all() else f"returned {result!r}"
+    return None
 
 
 @pytest.mark.parametrize("name", PUBLIC_CALLABLES)
@@ -240,6 +257,8 @@ def test_bad_input_is_rejected_naming_the_argument(name, tmp_path):
         cases = _cases(kind, row.valid[arg], tmp_path)
         if kind in ("array", "mask", "real", "int", "shape", "choice", "entries", "taps"):
             assert set(CLASSES) <= set(cases), (name, arg)
+        if kind in ("array", "real", "entries"):
+            assert set(LARGEST) <= set(cases), (name, arg)
         assert {"bool", "str", "None", "complex"} <= set(cases), (name, arg)
         for cls, value in cases.items():
             args = dict(row.valid, **{arg: value})

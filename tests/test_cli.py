@@ -140,6 +140,16 @@ def test_error_exit_codes(tmp_path, capsys):
                  "-o", str(disc)]) == 1
     assert "radius" in capsys.readouterr().err
     assert not disc.exists()
+    # A radius far beyond the image is clamped, not squared into an overflow.
+    assert main(["mask", "disc", "--rows", "5", "--cols", "5", "--radius", "1e200",
+                 "-o", str(disc)]) == 0
+    assert not read_mask(disc).any()
+    ramp = tmp_path / "ramp.phase"
+    capsys.readouterr()
+    assert main(["synth", "ramp", "--rows", "4", "--cols", "4", "--slope", "1e308",
+                 "-o", str(ramp)]) == 1
+    assert "slope" in capsys.readouterr().err
+    assert not ramp.exists()
 
     # A band that starts outside the image is an error, not an all-known mask.
     band = tmp_path / "band.pgm"

@@ -18,8 +18,7 @@ from phasetv import (
     run_cppa,
     wrap,
 )
-from phasetv.circle import _wrap_array
-from phasetv.solver import _LAMBDA0_MAX
+from phasetv.circle import _LAMBDA0_MAX, _wrap_array
 
 _angles = st.floats(-np.pi, np.pi, allow_nan=False)
 _canonical = st.floats(-np.pi, np.pi, exclude_max=True)

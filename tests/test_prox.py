@@ -195,6 +195,19 @@ def test_column_kernel_rejects_non_finite_before_writing():
             prox_diff_batch(np.array([[0.0, 1.0, bad, 0.0]]), 0.5, MIXED_DIFF)
 
 
+def test_batch_wraps_its_columns_first():
+    # Any finite rows, the largest floats of both signs included: the columns
+    # are wrapped before the tap sums, which keeps canonical input bit for bit.
+    huge = np.finfo(float).max
+    rows = np.array([[1.7e308, -1.7e308], [huge, -huge], [-huge, 0.5]])
+    out = prox_diff_batch(rows, 1.0, FIRST_DIFF)
+    assert np.array_equal(out, prox_diff_batch(wrap(rows), 1.0, FIRST_DIFF))
+    assert np.all(out >= -np.pi) and np.all(out < np.pi)
+    for filt in (SECOND_DIFF, MIXED_DIFF):
+        big = np.resize([huge, -huge], (3, filt.arity))
+        assert np.isfinite(prox_diff_batch(big, huge, filt)).all()
+
+
 def test_prox_data_examples():
     assert prox_data(0.4, 0.2, 1.0) == pytest.approx(0.3, abs=1e-15)
     assert prox_data(3.0, -3.0, 1.0) == pytest.approx(-np.pi, abs=1e-15)
@@ -211,6 +224,11 @@ def test_prox_data_validation():
     # Python and numpy ints and floats are accepted.
     for lam in (1, np.int64(1), np.float64(1.0)):
         assert prox_data(0.4, 0.2, lam) == prox_data(0.4, 0.2, 1.0)
+    # lam is capped at 1e300, so that f * lam stays finite for |f| <= pi.
+    assert prox_data(0.5, -3.0, 1e300) == -3.0
+    for lam in (np.nextafter(1e300, np.inf), 1e308):
+        with pytest.raises(ValueError, match=r"^lam must be a real number in \[0, 1e\+300\]"):
+            prox_data(0.5, -3.0, lam)
     # g and f must be angles in [-pi, pi); a value outside, or a non-finite
     # one, is named instead of giving a wrong result or a numpy warning.
     cases = [(0.1, 50.0, "f"), (np.nan, 0.0, "g"), (np.inf, 0.0, "g"), (0.0, -np.inf, "f"),

@@ -50,6 +50,23 @@ def test_ramp_examples():
         gen_wrapped_ramp((2, 2), 1.0, "sideways")
 
 
+def test_ramp_slope_bound_keeps_the_line_finite():
+    # |slope| * (n - 1) must stay at most the largest float; the bound is the
+    # quotient rounded down, since rounded to nearest it may overflow.
+    huge = np.finfo(float).max
+    for n in (2, 3, 4, 8, 50):
+        bound = np.nextafter(huge / (n - 1), 0.0)
+        for direction, shape in (("horizontal", (2, n)), ("vertical", (n, 3))):
+            for slope in (bound, -bound):
+                img = gen_wrapped_ramp(shape, slope, direction)
+                assert np.all(img >= -np.pi) and np.all(img < np.pi)
+            for slope in (np.nextafter(bound, np.inf), huge, -huge):
+                with pytest.raises(ValueError, match=r"^slope must be a real number in \[-"):
+                    gen_wrapped_ramp(shape, slope, direction)
+    # One pixel per line: any finite slope gives the zero line.
+    assert not gen_wrapped_ramp((3, 1), np.nextafter(huge, 0.0)).any()
+
+
 def test_ramp_second_differences_vanish():
     img = gen_wrapped_ramp((4, 50), 0.41, "horizontal")
     for c in range(48):
@@ -119,6 +136,23 @@ def test_disc_mask():
     for bad in (-1.0, np.nan, np.inf, -np.inf, "3", True, None):
         with pytest.raises(ValueError, match="radius"):
             mask_disc((9, 9), bad)
+
+
+def test_disc_radius_is_clamped_without_changing_the_mask():
+    # The radius is clamped to n_rows + n_cols before it is squared: every
+    # radius keeps the mask of the unclamped formula, a huge one is all unknown.
+    for n_rows, n_cols in ((1, 1), (5, 8), (9, 9)):
+        rr = np.arange(n_rows)[:, None] - (n_rows - 1) / 2.0
+        cc = np.arange(n_cols)[None, :] - (n_cols - 1) / 2.0
+        edge = n_rows + n_cols
+        for radius in (0, 0.5, 2, 3.5, edge - 1, np.nextafter(edge, 0), edge, edge + 0.5, 1e150):
+            want = rr**2 + cc**2 > float(radius) ** 2
+            assert np.array_equal(mask_disc((n_rows, n_cols), radius), want), radius
+        for radius in (1e200, np.finfo(float).max):
+            assert not mask_disc((n_rows, n_cols), radius).any()
+    # An int beyond every float is out of the interval, not an OverflowError.
+    with pytest.raises(ValueError, match=r"^radius must be a real number in \[0, "):
+        mask_disc((9, 9), 10**400)
 
 
 def test_band_mask():
@@ -196,6 +230,14 @@ def test_noise():
         y[3, 4] = bad
         with pytest.raises(ValueError, match="^x must be finite"):
             add_wrapped_gaussian_noise(y, 0.3, seed=0)
+    # x is wrapped before the noise is added, so the largest float plus the
+    # largest sigma does not overflow, and a canonical x keeps its result.
+    huge = np.full((4, 4), np.finfo(float).max)
+    loud = add_wrapped_gaussian_noise(huge, 1e300, 0)
+    assert np.all(loud >= -np.pi) and np.all(loud < np.pi)
+    assert np.array_equal(loud, add_wrapped_gaussian_noise(wrap(huge), 1e300, 0))
+    with pytest.raises(ValueError, match=r"^sigma must be a real number in \[0, 1e\+300\]"):
+        add_wrapped_gaussian_noise(x, np.nextafter(1e300, np.inf), 0)
 
 
 def test_noise_circular_std():
