@@ -26,7 +26,6 @@ from functools import partial
 import numpy as np
 
 from .circle import (
-    FILTERS,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -37,6 +36,7 @@ from .circle import (
     _check_shape,
     _near_wrap,
     _tap_sum,
+    _wrap_array,
     check_phase_image,
     check_phase_values,
 )
@@ -287,11 +287,16 @@ def scatter(image: np.ndarray, group: StencilGroup, vals) -> None:
         store()
 
 
-def _scratch(groups) -> list[np.ndarray]:
-    """Buffers for one group step or energy term of any of ``groups``: one
-    per stencil position of the largest arity, plus two."""
-    width = max(map(len, groups), default=0)
-    return [np.empty(width) for _ in range(max(k.arity for k in FILTERS) + 2)]
+def _scratch(groups, longest=0) -> list[np.ndarray]:
+    """Buffers for one group step or energy term of any of ``groups``: a
+    column per stencil position of the groups that gather (index forms, and
+    the data term with its reference), as long as the longest of them, plus
+    two as long as any group or ``longest``."""
+    gathered = [g for g in groups if g.index is not None or g.filt is None]
+    width = max(map(len, gathered), default=0)
+    arity = max((2 if g.filt is None else g.filt.arity for g in gathered), default=0)
+    longest = max([longest, *map(len, groups)])
+    return [np.empty(width) for _ in range(arity)] + [np.empty(longest), np.empty(longest)]
 
 
 def energy_from_groups(x, f, groups) -> float:
@@ -306,16 +311,18 @@ def energy_from_groups(x, f, groups) -> float:
 
     ``groups`` is a list of :class:`StencilGroup` as :func:`stencil_groups`
     builds it (empty: 0), ``x`` and ``f`` real images of their image shape,
-    else a ``ValueError`` names the argument.  On purpose no value is
-    checked, at no cost per pixel: NaN or inf gives NaN.
+    else a ``ValueError`` names the argument.  Values are wrapped first,
+    so finite ones of any size give the energy of the wrapped images; on
+    purpose they are not checked: NaN or inf gives NaN.
     """
     if not isinstance(groups, list | tuple) or not all(isinstance(g, StencilGroup) for g in groups):
         raise ValueError(f"groups must be a list of StencilGroups, got {type(groups).__name__}")
     for name, a in (("x", x), ("f", f)):
         for shape in {g.image_shape for g in groups} or {None}:
             _check_image(a, name, shape, "the groups'")
-    return _energy(np.asarray(x, dtype=float), np.asarray(f, dtype=float), groups,
-                   _scratch(groups))
+    with np.errstate(invalid="ignore"):
+        x, f = (_wrap_array(np.asarray(a, dtype=float)) for a in (x, f))
+    return _energy(x, f, groups, _scratch(groups))
 
 
 def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float:

@@ -6,6 +6,17 @@ One sweep applies the proximal mapping of every group of
 group touches are reset to the data after it; in noisy mode the data term
 is a group of its own.
 
+Each maximal run of whole-lattice difference groups of one stride (rs, cs)
+steps on the phases ``x[a::rs, b::cs]``, held flat and padded in one
+buffer that all runs share: a run loads its phases once and stores them
+once, and each stencil position is one contiguous slice of a phase, so
+every ufunc is 1-D and unit-stride (see ``_bind_run``).  A slice's
+row-end entries go through the arithmetic too; they hold finite values
+and are put back after the step.  In noiseless mode the projection
+after each step of a run resets every known pixel of its phases.  Each
+pixel sees the same operations in the same order as when every group is
+stepped on the image, so the output is the same bit for bit.
+
 Finite in, finite throughout: :func:`run_cppa` checks that ``x0`` and
 ``f`` hold finite angles, the weights are finite and ``lambda0 <= 1e300``,
 and the sweep checks nothing.  A difference prox moves a pixel by ``step
@@ -25,9 +36,11 @@ in [-pi, pi).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
@@ -91,6 +104,74 @@ def lambda_schedule(k: int, lambda0: float) -> float:
     return _check_number(lambda0, "lambda0", 0.0, _LAMBDA0_MAX, open_lo=True) / (k + 1.0)
 
 
+def _stride(group):
+    """The stride (rs, cs) of a whole-lattice difference group, else None."""
+    if group.index is not None or group.filt is None:
+        return None
+    rows, cols = group.windows[0]
+    return rows.step, cols.step
+
+
+def _phase_shape(image_shape, stride) -> tuple[int, int]:
+    """(H, W) = (ceil(rows / rs), ceil(cols / cs)): the shape to which each
+    phase ``x[a::rs, b::cs]`` of the stride (rs, cs) is padded."""
+    return -(-image_shape[0] // stride[0]), -(-image_shape[1] // stride[1])
+
+
+def _bind_run(image: np.ndarray, run, pool: np.ndarray, fixed=None):
+    """:func:`phasetv.model._bind` for a run of whole-lattice difference
+    groups of one stride (rs, cs): one ``(cols, loads, stores)`` per group,
+    bound on the run's phases instead of on ``image``.
+
+    Phase p = a*cs + b, the sub-image ``image[a::rs, b::cs]``, is held flat
+    in ``pool[p*H*W:(p+1)*H*W]``, padded to the (H, W) of
+    :func:`_phase_shape`; ``pool`` must be that long and finite.  The first
+    group's loads begin by copying the phases in, and the last group's
+    stores end by copying them back.  Since a family's arity is rs*cs, each
+    stencil position of a group lies in a phase of its own, and its column
+    is the contiguous slice of that phase from its first pixel to its last,
+    at most H*W long.  The (nr-1)*(W-nc) row-end entries of a slice, which
+    pair pixels across rows or with padding, are saved by a load and put
+    back by a store.  With ``fixed``, a (mask, values) pair of images, the
+    last store of each group resets the phases' pixels where the mask is
+    True to the values.
+    """
+    rs, cs = stride = _stride(run[0])
+    H, W = _phase_shape(image.shape, stride)
+    phases = [pool[p * H * W:(p + 1) * H * W] for p in range(rs * cs)]
+
+    def views(a):
+        return [a[p // cs::rs, p % cs::cs] for p in range(rs * cs)]
+
+    pairs = [(v, ph.reshape(H, W)[:v.shape[0], :v.shape[1]]) for v, ph in zip(views(image), phases)]
+    if fixed is not None:
+        ids, vals = [], []
+        for p, (m, v) in enumerate(zip(*map(views, fixed))):
+            i, k = np.nonzero(m)
+            ids.append(p * H * W + i * W + k)
+            vals.append(v[i, k])
+        project = partial(pool.__setitem__, np.concatenate(ids), np.concatenate(vals))
+    bound = []
+    for g in run:
+        nr, nc = g.shape
+        cols, loads, stores = [], [], []
+        for r, c in g.windows:
+            phase = phases[r.start % rs * cs + c.start % cs]
+            o = r.start // rs * W + c.start // cs
+            cols.append(phase[o:o + (nr - 1) * W + nc])
+            if nr > 1 and nc < W:
+                ends = phase[o:o + (nr - 1) * W].reshape(nr - 1, W)[:, nc:]
+                saved = np.empty(ends.shape)
+                loads.append(partial(np.copyto, saved, ends))
+                stores.append(partial(np.copyto, ends, saved))
+        if fixed is not None:
+            stores.append(project)
+        bound.append((cols, loads, stores))
+    bound[0][1][:0] = [partial(np.copyto, ph, v) for v, ph in pairs]
+    bound[-1][2].extend(partial(np.copyto, v, ph) for v, ph in pairs)
+    return bound
+
+
 def run_cppa(
     x0,
     f,
@@ -127,28 +208,39 @@ def run_cppa(
         np.copyto(x2d, f, where=known)
     x = x2d.reshape(-1)
     f_flat = f.reshape(-1)
-    scratch = _scratch(groups)
+    # Consecutive whole-lattice groups of one stride form a run.  The runs
+    # share one pool, and their columns are no longer than a phase.
+    live = [g for g in groups if len(g)]
+    shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
+    pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
+    scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))
     *columns, theta_buf, step_buf = scratch
     # Each group step is bound once: its columns, the copies between them
-    # and x2d, and its scratch, all cut to the group's length.  In
-    # noiseless mode the last copy is the projection, which resets the
-    # known pixels the group touches to f.  The data term, if any, runs
-    # last with its data, which the energy reads as well.
+    # and x2d, and its scratch, all cut to its column length.  A run steps
+    # on its phases in ``pool``, loaded before its first step and stored
+    # after its last; any other group on its own columns.  In noiseless
+    # mode the last copy of a step is the projection, which resets known
+    # pixels to f: those the group touches, or in a run every one of the
+    # run's phases.  The data term, if any, runs last with its data, which
+    # the energy reads as well.
     steps = []
     data = f_data = None
-    for g in groups:
-        n = len(g)
-        if n == 0:
-            continue
-        cols, loads, stores = _bind(x2d, g, columns)
-        if g.filt is None:
-            data = (cols, loads, stores, theta_buf[:n], step_buf[:n])
-            f_data = gather(f, g)[0]
-            continue
-        if noiseless:
-            touched = np.concatenate(g.flat_index(known))
-            stores.append(partial(x.__setitem__, touched, f_flat[touched]))
-        steps.append((g.weight, g.filt, cols, loads, stores, theta_buf[:n], step_buf[:n]))
+    for stride, run in groupby(live, _stride):
+        run = list(run)
+        if stride is None:
+            bound = [_bind(x2d, g, columns) for g in run]
+        else:
+            bound = _bind_run(x2d, run, pool, (known, f) if noiseless else None)
+        for g, (cols, loads, stores) in zip(run, bound):
+            n = cols[0].size
+            if g.filt is None:
+                data = (cols, loads, stores, theta_buf[:n], step_buf[:n])
+                f_data = gather(f, g)[0]
+                continue
+            if noiseless and stride is None:
+                touched = np.concatenate(g.flat_index(known))
+                stores.append(partial(x.__setitem__, touched, f_flat[touched]))
+            steps.append((g.weight, g.filt, cols, loads, stores, theta_buf[:n], step_buf[:n]))
     wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
     # The flat range of the rows that hold an unknown pixel; noisy mode
     # moves every pixel.  Outside it every pixel is known and holds f: the

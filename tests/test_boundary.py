@@ -45,7 +45,8 @@ class Row:
     ``kinds`` maps each argument to its kind (see ``_cases``);
     ``accepted`` maps an argument to the classes it accepts on purpose;
     ``together`` names arguments that must keep one shape, which get the
-    shape classes ("ndim", "empty") as a group.
+    shape classes ("ndim", "empty") as a group.  ``at`` holds the flat
+    positions at which an array gets its one or two bad entries.
     """
 
     func: object
@@ -53,27 +54,30 @@ class Row:
     kinds: dict
     accepted: dict = dataclasses.field(default_factory=dict)
     together: tuple = ()
+    at: tuple = (0, 1)
 
 
-def _at_first(v, *values):
-    a = np.array(v, dtype=float)
-    a.flat[:len(values)] = values
-    return a
-
-
-def _cases(kind, valid, tmp_path):
+def _cases(kind, valid, tmp_path, at=(0, 1)):
     """{class: bad value} for an argument of ``kind`` whose valid value is
-    ``valid``.  A class that has no meaning for a kind (the range of a
-    path) is left out; "array" is an extra class of a choice."""
+    ``valid``, an array getting its bad entries at the flat positions
+    ``at``.  A class that has no meaning for a kind (the range of a path)
+    is left out; "array" is an extra class of a choice."""
+
+    def _at(v, *values):
+        a = np.array(v, dtype=float)
+        for i, value in zip(at[:a.size], values):
+            a.flat[i] = value
+        return a
+
     common = {"bool": True, "str": "1", "None": None, "complex": 1j,
               "nan": np.nan, "inf": np.inf, "-inf": -np.inf}
     if kind == "array":  # a float or an array of floats
         v = np.asarray(valid, dtype=float)
         return {"bool": v.astype(bool), "str": v.astype(str), "None": None, "complex": v + 1j,
-                "nan": _at_first(v, np.nan), "inf": _at_first(v, np.inf),
-                "-inf": _at_first(v, -np.inf), "ndim": v[None],
-                "empty": v[:0] if v.ndim else v[None][:0], "range": _at_first(v, 4.0),
-                "max": _at_first(v, HUGE, -HUGE), "-max": _at_first(v, -HUGE, HUGE)}
+                "nan": _at(v, np.nan), "inf": _at(v, np.inf),
+                "-inf": _at(v, -np.inf), "ndim": v[None],
+                "empty": v[:0] if v.ndim else v[None][:0], "range": _at(v, 4.0),
+                "max": _at(v, HUGE, -HUGE), "-max": _at(v, -HUGE, HUGE)}
     if kind == "mask":
         m = np.asarray(valid)
         return {"bool": True, "str": m.astype(str), "None": None, "complex": m + 1j,
@@ -171,7 +175,8 @@ def _rows(tmp_path):
                                   dict(x=image, f=image, groups=obj),
                                   accepted={"x": {"nan", "inf", "-inf", "range"} | huge,
                                             "f": {"nan", "inf", "-inf", "range"} | huge,
-                                            "groups": {"empty"}}),
+                                            "groups": {"empty"}},
+                                  at=(3 * SHAPE[1] + 3, 3 * SHAPE[1] + 4)),
         "enumerate_stencils": Row(phasetv.enumerate_stencils,
                                   dict(shape=SHAPE, mask=KNOWN, weights=W, model_kind="noisy"),
                                   dict(shape="shape", **problem)),
@@ -254,7 +259,7 @@ def test_bad_input_is_rejected_naming_the_argument(name, tmp_path):
     row = _rows(tmp_path)[name]
     failures = []
     for arg, kind in row.kinds.items():
-        cases = _cases(kind, row.valid[arg], tmp_path)
+        cases = _cases(kind, row.valid[arg], tmp_path, row.at)
         if kind in ("array", "mask", "real", "int", "shape", "choice", "entries", "taps"):
             assert set(CLASSES) <= set(cases), (name, arg)
         if kind in ("array", "real", "entries"):
@@ -263,7 +268,7 @@ def test_bad_input_is_rejected_naming_the_argument(name, tmp_path):
         for cls, value in cases.items():
             args = dict(row.valid, **{arg: value})
             if arg in row.together and cls in ("ndim", "empty"):
-                args.update({a: _cases(row.kinds[a], row.valid[a], tmp_path)[cls]
+                args.update({a: _cases(row.kinds[a], row.valid[a], tmp_path, row.at)[cls]
                              for a in row.together})
             problem = _outcome(row, args, arg, cls)
             if problem:

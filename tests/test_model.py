@@ -317,6 +317,29 @@ def test_energy_from_groups_non_finite_gives_nan_silently():
                     assert np.isnan(energy_from_groups(x, f, groups)), (shape, kind, bad)
 
 
+def test_energy_from_groups_of_largest_floats_is_that_of_the_wrapped_image():
+    # The two largest floats of opposite sign in one read stencil inside a
+    # 2x2 hole: their difference overflows unless the image is wrapped first.
+    huge = np.finfo(float).max
+    f = np.random.default_rng(46).uniform(-np.pi, np.pi, (8, 8))
+    known = np.ones((8, 8), bool)
+    known[3:5, 3:5] = False
+    for kind in ("noiseless", "noisy"):
+        groups = stencil_groups(f.shape, known, ALL_ON, kind)
+        for big in (huge, -huge):
+            x = f.copy()
+            x[3, 3], x[3, 4] = big, -big
+            g = f.copy()
+            g[2, 2], g[2, 3] = big, -big
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert energy_from_groups(x, f, groups) == energy_from_groups(wrap(x), f, groups)
+                assert energy_from_groups(f, g, groups) == energy_from_groups(f, wrap(g), groups)
+                for bad in (np.nan, np.inf, -np.inf):
+                    x[3, 4] = bad
+                    assert np.isnan(energy_from_groups(x, f, groups)), (kind, bad)
+
+
 def test_energy_invariant_under_transpose_and_flip():
     # Transposing swaps the horizontal and vertical families (alpha1 and
     # alpha2, beta1 and beta2) and maps each diagonal family and the mixed

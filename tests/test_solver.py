@@ -1,4 +1,5 @@
 import dataclasses
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from phasetv import (
     lambda_schedule,
     mask_band,
     mask_disc,
+    mask_subsample3,
     prox_data,
     run_cppa,
     wrap,
@@ -310,13 +312,25 @@ def _bits(report):
     return report.image.view(np.uint64), [s for s, _ in report.energy_trace], energies.view(np.uint64)
 
 
+def _random_weights(rng, active=None):
+    """Weights with the families flagged in ``active`` (7 characters of
+    0/1), or at least one random family, on at random strengths."""
+    if active is None:
+        on = rng.random(7) < 0.5
+        on[rng.integers(7)] = True
+    else:
+        on = np.array([c == "1" for c in active])
+    w7 = np.where(on, rng.uniform(0.1, 2.0, 7), 0.0)
+    return Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+
+
 def test_lattice_form_matches_index_form(monkeypatch):
+    # Runs of whole-lattice groups of one stride step on flat phase
+    # buffers; the index form steps on the image itself.
     rng = np.random.default_rng(38)
+    cases = []
     shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (1, 13), (13, 1), (13, 13)]
     shapes += [(int(rng.integers(1, 14)), int(rng.integers(1, 14))) for _ in range(40)]
-    seen = {"empty": 0, "lattice": 0, "index": 0}
-    calls = []
-    cfg = SolverConfig(max_sweeps=3)
     for i, shape in enumerate(shapes):
         f = rng.uniform(-np.pi, np.pi, shape)
         # Every fifth case knows every pixel or none; the rest a random share.
@@ -324,23 +338,47 @@ def test_lattice_form_matches_index_form(monkeypatch):
             known = np.full(shape, bool(rng.integers(0, 2)))
         else:
             known = rng.random(shape) < rng.uniform(0.1, 0.9)
-        active = rng.random(7) < 0.5
-        active[rng.integers(7)] = True
-        w7 = np.where(active, rng.uniform(0.1, 2.0, 7), 0.0)
-        w = Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6])
+        w = _random_weights(rng)
         x0 = initialize(f, known, w)
-        for kind in ("noiseless", "noisy"):
-            groups = stencil_groups(shape, known, w, kind)
-            seen["empty"] += sum(len(g) == 0 for g in groups)
-            seen["lattice"] += sum(g.index is None for g in groups)
-            seen["index"] += sum(g.index is not None for g in groups)
-            lattice = run_cppa(x0, f, known, w, kind, cfg)
-            with monkeypatch.context() as m:
-                m.setattr(solver_mod, "stencil_groups", _index_groups(calls))
-                index = run_cppa(x0, f, known, w, kind, cfg)
-            for a, b in zip(_bits(lattice), _bits(index)):
-                assert np.array_equal(a, b), (shape, kind)
-    assert len(calls) == 2 * len(shapes)
+        cases += [(x0, f, known, w, kind) for kind in ("noiseless", "noisy")]
+    # Every residue of rows and cols mod 6, the lcm of the strides, with the
+    # families of the (2, 1) run (vertical, diagonal and anti-diagonal first
+    # differences) dropped in turn.
+    shapes = [(r, c) for r in range(6, 12) for c in range(6, 12)] + [(1, 9), (9, 1), (3, 3)]
+    families = ["1111111", "1011111", "1101111", "1110111", "1010111", "0001011", "0100001"]
+    for i, shape in enumerate(shapes):
+        f = rng.uniform(-np.pi, np.pi, shape)
+        x0 = rng.uniform(-np.pi, np.pi, shape)
+        problems = [("noiseless", mask_subsample3(shape)), ("noiseless", np.zeros(shape, bool)),
+                    ("noisy", rng.random(shape) < 0.7), ("noiseless", rng.random(shape) < 0.2)]
+        for active in families[i % 7], families[(i + 3) % 7]:
+            w = _random_weights(rng, active)
+            cases += [(np.where(known, f, x0), f, known, w, kind) for kind, known in problems]
+    seen = dict.fromkeys(("empty", "lattice", "index", "row ends", "long run", "split run"), 0)
+    calls = []
+    cfg = SolverConfig(max_sweeps=3)
+    for x0, f, known, w, kind in cases:
+        groups = stencil_groups(f.shape, known, w, kind)
+        seen["empty"] += sum(len(g) == 0 for g in groups)
+        seen["lattice"] += sum(g.index is None for g in groups)
+        seen["index"] += sum(g.index is not None for g in groups)
+        live = [g for g in groups if len(g)]
+        runs = [(s, list(run)) for s, run in groupby(live, solver_mod._stride)]
+        strides = [s for s, _ in runs]
+        seen["split run"] += any(a and a == c and b is None
+                                 for a, b, c in zip(strides, strides[1:], strides[2:]))
+        for stride, run in runs:
+            seen["long run"] += stride is not None and len(run) > 1
+            for g in run if stride else ():
+                nr, nc = g.shape
+                seen["row ends"] += nr > 1 and nc < solver_mod._phase_shape(f.shape, stride)[1]
+        lattice = run_cppa(x0, f, known, w, kind, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "stencil_groups", _index_groups(calls))
+            index = run_cppa(x0, f, known, w, kind, cfg)
+        for a, b in zip(_bits(lattice), _bits(index)):
+            assert np.array_equal(a, b), (f.shape, kind)
+    assert len(calls) == len(cases)
     assert all(count > 0 for count in seen.values()), seen
 
 
