@@ -118,10 +118,10 @@ def read_mask(path) -> np.ndarray:
     tokens, pos = _pgm_tokens(data, 4)
     if tokens[0] != b"P5":
         raise FormatError(f"mask is not binary PGM (magic {tokens[0]!r}, expected P5)")
-    try:
-        cols, rows, maxval = (int(t) for t in tokens[1:])
-    except ValueError:
-        raise FormatError(f"non-numeric PGM header fields {tokens[1:]!r}") from None
+    for field in tokens[1:]:
+        if not field.isdigit():
+            raise FormatError(f"PGM header field {field!r} is not a decimal number")
+    cols, rows, maxval = map(int, tokens[1:])
     if maxval != 255:
         raise FormatError(f"mask maxval must be 255, found {maxval}")
     if rows < 1 or cols < 1:
@@ -158,14 +158,14 @@ def render_hue(x) -> bytes:
     ``x`` as for :func:`write_phase`."""
     x = check_phase_image(x, "x", error=FormatError)
     h = (x + np.pi) / TWO_PI * 6.0
-    sextant = np.minimum(np.floor(h), 5.0)
-    t = h - sextant
-    q = 1.0 - t
-    one = np.ones_like(t)
-    zero = np.zeros_like(t)
+    sextant = np.minimum(np.floor(h), 5.0).astype(np.intp)
+    h -= sextant
+    # The rising and falling ramps of a sextant, rounded to 8 bits.
+    up = np.floor(h * 255.0 + 0.5).astype(np.uint8)
+    down = np.floor((1.0 - h) * 255.0 + 0.5).astype(np.uint8)
     # Sextant layout of (r, g, b) at full saturation and value.
-    layout = ([one, q, zero, zero, t, one], [t, one, one, q, zero, zero],
-              [zero, zero, t, one, one, q])
-    rgb = np.stack([np.choose(sextant.astype(int), c) for c in layout], axis=-1)
-    raster = np.floor(rgb * 255.0 + 0.5).astype(np.uint8)
+    layout = ((255, down, 0, 0, up, 255), (up, 255, 255, down, 0, 0), (0, 0, up, 255, 255, down))
+    raster = np.empty(x.shape + (3,), np.uint8)
+    for channel, choices in enumerate(layout):
+        np.choose(sextant, choices, out=raster[..., channel])
     return _netpbm(b"P6", raster)

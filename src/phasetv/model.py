@@ -245,14 +245,16 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
 enumerate_stencils = stencil_groups
 
 
-def _bind(image: np.ndarray, group: StencilGroup, out=None):
+def _bind(image: np.ndarray, group: StencilGroup, out=None, fixed=None):
     """``(cols, loads, stores)``: the group's columns and the copies
     between them and the 2-D ``image``, bound once for many calls.
 
     ``cols`` are the leading parts of the buffers in ``out`` (fresh ones
     when None), one per stencil position.  Each of ``loads`` copies one
     position's pixels into its column, in stencil order; each of
-    ``stores`` copies a column back into the C-contiguous ``image``.
+    ``stores`` copies a column back into the C-contiguous ``image``.  With
+    ``fixed``, a (mask, values) pair of images, the last store resets the
+    group's pixels where the mask is True to the values.
     """
     n = len(group)
     if out is None:
@@ -260,12 +262,17 @@ def _bind(image: np.ndarray, group: StencilGroup, out=None):
     cols = [b[:n] for b, _ in zip(out, group.windows)]
     if group.index is None:
         pairs = [(image[w], c.reshape(group.shape)) for w, c in zip(group.windows, cols)]
-        return (cols, [partial(np.copyto, c, v) for v, c in pairs],
-                [partial(np.copyto, v, c) for v, c in pairs])
-    # Index form: position j reads the one index through the image shifted by its offset.
-    views = [image.reshape(-1)[o:] for o in group.offsets]
-    return (cols, [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)],
-            [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)])
+        loads = [partial(np.copyto, c, v) for v, c in pairs]
+        stores = [partial(np.copyto, v, c) for v, c in pairs]
+    else:
+        # Index form: position j reads the one index through the image shifted by its offset.
+        views = [image.reshape(-1)[o:] for o in group.offsets]
+        loads = [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)]
+        stores = [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)]
+    if fixed is not None:
+        touched = np.concatenate(group.flat_index(fixed[0]))
+        stores.append(partial(image.reshape(-1).__setitem__, touched, fixed[1].flat[touched]))
+    return cols, loads, stores
 
 
 def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
@@ -278,13 +285,6 @@ def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]
     for load in loads:
         load()
     return cols
-
-
-def scatter(image: np.ndarray, group: StencilGroup, vals) -> None:
-    """Write ``vals``, as :func:`gather` returns them, back to the group's
-    pixels of the C-contiguous 2-D ``image``."""
-    for store in _bind(image, group, vals)[2]:
-        store()
 
 
 def _scratch(groups, longest=0) -> list[np.ndarray]:

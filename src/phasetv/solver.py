@@ -2,9 +2,13 @@
 
 One sweep applies the proximal mapping of every group of
 :func:`phasetv.model.stencil_groups` in label order, with the parameter
-``lambda_k = lambda0 / (k + 1)``.  In noiseless mode the known pixels a
-group touches are reset to the data after it; in noisy mode the data term
-is a group of its own.
+``lambda_k = lambda0 / (k + 1)``.  Every step of a sweep is bound once, as
+one ``(weight, kernel, loads, stores)`` entry of one list: each difference
+group's prox, then the image wrap (weight 0), then in noisy mode the data
+term's prox (weight 2).  For every entry the sweep runs the loads,
+``kernel(lam * weight)`` and the stores, with no branch.  In noiseless
+mode the last store of a difference step resets the known pixels it
+touches to the data.
 
 Each maximal run of whole-lattice difference groups of one stride (rs, cs)
 steps on the phases ``x[a::rs, b::cs]``, held flat and padded in one
@@ -29,9 +33,9 @@ weighted sum, can overflow, for a weight near the largest float.
 
 The difference groups leave their pixels unwrapped, since the next step
 needs each angle only modulo 2*pi; by that bound, within a sweep |x| stays
-below about 10*pi and |theta| below about 40*pi.  The image is wrapped
-once per sweep, before the data term, whose shorter-arc test needs angles
-in [-pi, pi).
+below about 10*pi and |theta| below about 40*pi.  The wrap step wraps
+the image once per sweep, before the data term, whose shorter-arc test
+needs angles in [-pi, pi).
 """
 
 from __future__ import annotations
@@ -207,40 +211,34 @@ def run_cppa(
         # x0 equals f on the known pixels but may differ in a zero's sign.
         np.copyto(x2d, f, where=known)
     x = x2d.reshape(-1)
-    f_flat = f.reshape(-1)
+    # The data term, if any, is the last group; it steps after the wrap.
+    live = [g for g in groups if len(g)]
+    data = live.pop() if live and live[-1].filt is None else None
     # Consecutive whole-lattice groups of one stride form a run.  The runs
     # share one pool, and their columns are no longer than a phase.
-    live = [g for g in groups if len(g)]
     shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
     pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
     scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))
     *columns, theta_buf, step_buf = scratch
-    # Each group step is bound once: its columns, the copies between them
-    # and x2d, and its scratch, all cut to its column length.  A run steps
-    # on its phases in ``pool``, loaded before its first step and stored
-    # after its last; any other group on its own columns.  In noiseless
-    # mode the last copy of a step is the projection, which resets known
-    # pixels to f: those the group touches, or in a run every one of the
-    # run's phases.  The data term, if any, runs last with its data, which
-    # the energy reads as well.
+    # Each group step holds its columns, the copies between them and x2d,
+    # and its scratch, all cut to its column length.  A run steps on its
+    # phases in ``pool``, loaded before its first step and stored after its
+    # last; any other group on its own columns.  The projection resets
+    # known pixels to f: those the group touches, or in a run every one of
+    # the run's phases.
+    fixed = (known, f) if noiseless else None
     steps = []
-    data = f_data = None
     for stride, run in groupby(live, _stride):
         run = list(run)
         if stride is None:
-            bound = [_bind(x2d, g, columns) for g in run]
+            bound = [_bind(x2d, g, columns, fixed) for g in run]
         else:
-            bound = _bind_run(x2d, run, pool, (known, f) if noiseless else None)
+            bound = _bind_run(x2d, run, pool, fixed)
         for g, (cols, loads, stores) in zip(run, bound):
             n = cols[0].size
-            if g.filt is None:
-                data = (cols, loads, stores, theta_buf[:n], step_buf[:n])
-                f_data = gather(f, g)[0]
-                continue
-            if noiseless and stride is None:
-                touched = np.concatenate(g.flat_index(known))
-                stores.append(partial(x.__setitem__, touched, f_flat[touched]))
-            steps.append((g.weight, g.filt, cols, loads, stores, theta_buf[:n], step_buf[:n]))
+            kernel = partial(shrink_columns, cols, filt=g.filt, theta_buf=theta_buf[:n],
+                             step_buf=step_buf[:n])
+            steps.append((g.weight, kernel, loads, stores))
     wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
     # The flat range of the rows that hold an unknown pixel; noisy mode
     # moves every pixel.  Outside it every pixel is known and holds f: the
@@ -250,12 +248,23 @@ def run_cppa(
         moving = np.flatnonzero(~known.all(axis=1))
         band = range(moving[0] * n_cols, (moving[-1] + 1) * n_cols) if moving.size else range(0)
 
-    def wrap_iterate():
+    def wrap_iterate(_):
         # Block by block, so that the scratch stays small.  The wrap keeps
         # the known pixels, which hold f, bit for bit.
         for lo in range(band.start, band.stop, wrap_tmp.size):
             block = x[lo:min(lo + wrap_tmp.size, band.stop)]
             _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
+
+    steps.append((0.0, wrap_iterate, (), ()))
+    # The data term's weight is 2, as its closed form weighs the fidelity
+    # without the usual 1/2; the energy reads its data as well.
+    f_data = None
+    if data is not None:
+        cols, loads, stores = _bind(x2d, data, columns)
+        f_data = gather(f, data)[0]
+        n = f_data.size
+        kernel = partial(_prox_data_into, cols[0], f_data, a=theta_buf[:n], b=step_buf[:n])
+        steps.append((2.0, kernel, loads, stores))
 
     def record(trace, sweep):
         value = _energy(x2d, f, groups, scratch, f_data)
@@ -268,20 +277,10 @@ def run_cppa(
     record(trace, 0)
     for k in range(config.max_sweeps):
         lam = lambda_schedule(k, config.lambda0)
-        for weight, filt, cols, loads, stores, theta, step in steps:
+        for weight, kernel, loads, stores in steps:
             for load in loads:
                 load()
-            shrink_columns(cols, lam * weight, filt, theta, step)
-            for store in stores:
-                store()
-        wrap_iterate()
-        if data is not None:
-            # Data term: prox parameter 2*lam because the closed form
-            # weighs the fidelity without the usual 1/2.
-            cols, loads, stores, a, b = data
-            for load in loads:
-                load()
-            _prox_data_into(cols[0], f_data, 2.0 * lam, a, b)
+            kernel(lam * weight)
             for store in stores:
                 store()
         sweep = k + 1

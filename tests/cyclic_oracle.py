@@ -9,6 +9,8 @@ sweep runs.  ``oracle_cyclic_diff`` (enumeration over base-point shifts)
 and ``oracle_prox_diff`` (grid search) are independent references, and
 ``oracle_prox_data`` is the data prox in its first, allocating form,
 against which the library's in-place kernel is checked bit for bit.
+``scatter``, the inverse of ``model.gather``, writes a group's columns
+back to an image for the per-group reference sweeps.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import numpy as np
 
 from phasetv import dist
 from phasetv.circle import TWO_PI, DifferenceFilter, _signed_wrap, _tap_sum, _wrap_array
+from phasetv.model import StencilGroup, _bind
 from phasetv.prox import shrink_columns
 
 
@@ -161,3 +164,10 @@ def oracle_prox_data(g, f, lam: float):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def scatter(image: np.ndarray, group: StencilGroup, vals) -> None:
+    """Write ``vals``, as ``model.gather`` returns them, back to the group's
+    pixels of the C-contiguous 2-D ``image``."""
+    for store in _bind(image, group, vals)[2]:
+        store()

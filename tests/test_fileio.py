@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,16 @@ def test_mask_read_errors(tmp_path):
     with pytest.raises(FormatError, match="ended early"):
         read_mask(path)
 
+    # int() would parse each of these; a field is ASCII digits only, as in
+    # read_phase's header, and leading zeros are digits.
+    for header in (b"1_0 1 255", b"+2 1 255", b"2 1 2_55", b"2 -1 255", b"2 1 x"):
+        path.write_bytes(b"P5\n" + header + b"\n" + bytes(2))
+        bad = next(t for t in header.split() if not t.isdigit())
+        with pytest.raises(FormatError, match=re.escape(repr(bad))):
+            read_mask(path)
+    path.write_bytes(b"P5\n0002 01 255\n" + bytes([0, 255]))
+    assert read_mask(path).tolist() == [[False, True]]
+
 
 def test_render_gray_levels():
     pgm = render_gray(np.zeros((2, 3)))
@@ -132,6 +143,31 @@ def test_render_gray_levels():
     assert render_gray(np.full((1, 1), -np.pi))[-1] == 0
     assert render_gray(np.full((1, 1), np.pi - 1e-12))[-1] == 255
     assert render_gray(np.zeros((1, 1))) == render_gray(np.zeros((1, 1)))
+
+
+def _hue_by_floats(x):
+    """The hue raster as first written: every channel a float image, rounded last."""
+    h = (x + np.pi) / (2.0 * np.pi) * 6.0
+    sextant = np.minimum(np.floor(h), 5.0)
+    t = h - sextant
+    q = 1.0 - t
+    one, zero = np.ones_like(t), np.zeros_like(t)
+    layout = ([one, q, zero, zero, t, one], [t, one, one, q, zero, zero],
+              [zero, zero, t, one, one, q])
+    rgb = np.stack([np.choose(sextant.astype(int), c) for c in layout], axis=-1)
+    return np.floor(rgb * 255.0 + 0.5).astype(np.uint8).tobytes()
+
+
+def test_render_hue_bytes_match_the_float_formula():
+    edges = -np.pi + 2.0 * np.pi * np.arange(7) / 6.0
+    edges = np.concatenate([np.nextafter(edges, -np.inf), edges, np.nextafter(edges, np.inf)])
+    images = [np.linspace(-np.pi, np.pi, 100_001, endpoint=False).reshape(1, -1),
+              edges[(edges >= -np.pi) & (edges < np.pi)].reshape(3, -1),
+              np.random.default_rng(57).uniform(-np.pi, np.pi, (256, 256))]
+    for x in images:
+        ppm = render_hue(x)
+        header = b"P6\n%d %d\n255\n" % (x.shape[1], x.shape[0])
+        assert ppm == header + _hue_by_floats(x), x.shape
 
 
 def test_render_hue_wraps_continuously():

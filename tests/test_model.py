@@ -18,9 +18,9 @@ from phasetv import (
     mask_subsample3,
     wrap,
 )
-from phasetv.model import gather, scatter, stencil_groups
+from phasetv.model import gather, stencil_groups
 
-from cyclic_oracle import abs_cyclic_diff
+from cyclic_oracle import abs_cyclic_diff, scatter
 
 ALL_ON = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
 

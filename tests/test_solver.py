@@ -24,8 +24,10 @@ from phasetv import (
     wrap,
 )
 import phasetv.solver as solver_mod
-from phasetv.model import gather, scatter, stencil_groups
+from phasetv.model import gather, stencil_groups
 from phasetv.prox import shrink_columns
+
+from cyclic_oracle import scatter
 
 
 def test_lambda_schedule_values():
