@@ -127,12 +127,13 @@ class StencilGroup:
     ``windows[j]`` is a (row slice, col slice) pair: ``image[windows[j]]``
     is a strided view of shape ``shape`` holding the pixel at stencil
     position j of every stencil of the lattice, the stencils in row-major
-    order of their leading pixels.  With ``index`` None the group is the
-    whole lattice.  Otherwise it is a subset in index form: ``index``
-    holds the flat index of each of its stencils' leading pixels, in the
-    C-order image of shape ``image_shape``, and position j of a stencil
-    lies ``offsets[j]`` further on.  The data term has ``filt = None``,
-    weight 1 and one position.
+    order of their leading pixels.  The group has one of three forms.  A
+    whole lattice has ``index`` and ``keep`` None.  In box form ``keep``,
+    a boolean array of shape ``shape``, marks the stencils it holds.  In
+    index form, which wins over ``keep``, ``index`` holds the flat index
+    of each stencil's leading pixel in the C-order image of shape
+    ``image_shape``, and position j lies ``offsets[j]`` further on.  The
+    data term has ``filt = None``, weight 1 and one position.
     """
 
     label: int
@@ -142,6 +143,7 @@ class StencilGroup:
     image_shape: tuple[int, int]
     windows: tuple[tuple[slice, slice], ...]
     index: np.ndarray | None = None
+    keep: np.ndarray | None = None
 
     @property
     def is_data_term(self) -> bool:
@@ -163,6 +165,8 @@ class StencilGroup:
     def __len__(self) -> int:
         if self.index is not None:
             return self.index.size
+        if self.keep is not None:
+            return int(np.count_nonzero(self.keep))
         return self.shape[0] * self.shape[1]
 
     def flat_index(self, where=None) -> list[np.ndarray]:
@@ -170,8 +174,8 @@ class StencilGroup:
         group's pixels in stencil order; with ``where`` (a boolean image),
         only those of pixels where it is True."""
         if self.index is None:
-            every = np.ones(self.shape, dtype=bool)
-            return [_window_ids(w, every if where is None else where[w], self.image_shape[1])
+            held = np.ones(self.shape, dtype=bool) if self.keep is None else self.keep
+            return [_window_ids(w, held if where is None else held & where[w], self.image_shape[1])
                     for w in self.windows]
         ids = [self.index + o for o in self.offsets]
         if where is None:
@@ -180,14 +184,40 @@ class StencilGroup:
         return [c[where[c]] for c in ids]
 
 
+# The least share of its box lattice a group needs for the box form.
+# run_cppa at 256^2, index -> box form (shares), 100 sweeps, 2 vCPUs: disc
+# r=64 (.72-.76) 56 -> 42 ms, 50% loss (.75-.94) 230 -> 147 ms, 20% loss
+# (.36-.59) 144 -> 162 ms, 5% loss (.10-.19) 56 -> 170 ms.  A threshold of
+# 0.55 timed the same as 0.65 within noise at 20-35% loss.
+_DENSE = 0.65
+
+
+def _box(known: np.ndarray, noiseless: bool) -> tuple[slice, slice]:
+    """The (row, col) slices that hold the lattices: the whole image, or
+    in noiseless mode the bounding box of the unknown pixels with a margin
+    of 2, which holds every stencil touching one, its origin rounded down
+    to a multiple of 6 so that each residue class keeps its label."""
+    unknown = ~known
+    if not noiseless or not unknown.any():
+        return slice(0, known.shape[0]), slice(0, known.shape[1])
+    box = []
+    for axis, n in enumerate(known.shape):
+        lines = np.flatnonzero(unknown.any(axis=1 - axis)).tolist()
+        box.append(slice(max(lines[0] - 2, 0) // 6 * 6, min(lines[-1] + 3, n)))
+    return tuple(box)
+
+
 def _lattice_group(label, filt, weight, windows, keep, image_shape) -> StencilGroup:
     """A group from its lattice and the mask ``keep`` of the stencils it
-    keeps (None: all of them); a partial lattice gets the index form."""
+    keeps (None: all); a partial lattice gets the box form if it is a dense
+    difference group, else the index form."""
     shape = tuple(len(range(s.start, s.stop, s.step)) for s in windows[0])
     index = None
-    if keep is not None and not keep.all():
-        index = _window_ids(windows[0], keep, image_shape[1])
-    return StencilGroup(label, filt, float(weight), shape, image_shape, windows, index)
+    if keep is not None and keep.all():
+        keep = None
+    if keep is not None and (filt is None or np.count_nonzero(keep) < _DENSE * keep.size):
+        index, keep = _window_ids(windows[0], keep, image_shape[1]), None
+    return StencilGroup(label, filt, float(weight), shape, image_shape, windows, index, keep)
 
 
 def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[StencilGroup]:
@@ -198,31 +228,31 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
     stencil fits the image domain; its residue classes are then all
     present (possibly empty), so the cycle length depends only on which
     weights are active, not on the mask.  In ``noiseless`` mode stencils
-    that touch no unknown pixel are dropped; in ``noisy`` mode all fitting
-    stencils are kept and the data term, the stride-1 lattice over the
-    whole image restricted to the known pixels, is appended as label 19.
-    A group keeps the lattice form when it holds every stencil of its
-    lattice, which is always the case in ``noisy`` mode; otherwise it
-    gets the index form.
+    that touch no unknown pixel are dropped and the lattices cut to the
+    :func:`_box`; in ``noisy`` mode all fitting stencils are kept and the
+    data term, the stride-1 lattice over the whole image restricted to the
+    known pixels, is appended as label 19.  Partial lattices take the form
+    :func:`_lattice_group` chooses.
     """
     n_rows, n_cols = _check_shape(shape)
     known = _check_image(mask, "mask", (n_rows, n_cols), "the image's", kinds="b")
     noiseless = _check_choice(model_kind, "model_kind", MODEL_KINDS) == "noiseless"
     unknown = ~known if noiseless else None
+    rows, cols = _box(known, noiseless)
 
     groups: list[StencilGroup] = []
     label = 1
     for (filt, offsets, row_mod, col_mod), weight in zip(_FAMILIES, _family_weights(weights)):
-        lead_rows = n_rows - max(dr for dr, _ in offsets)
-        lead_cols = n_cols - max(dc for _, dc in offsets)
-        if weight <= 0.0 or lead_rows < 1 or lead_cols < 1:
+        reach_rows = max(dr for dr, _ in offsets)
+        reach_cols = max(dc for _, dc in offsets)
+        if weight <= 0.0 or n_rows <= reach_rows or n_cols <= reach_cols:
             label += row_mod * col_mod
             continue
         for col_res in range(col_mod):
             for row_res in range(row_mod):
                 windows = tuple(
-                    (slice(row_res + dr, lead_rows + dr, row_mod),
-                     slice(col_res + dc, lead_cols + dc, col_mod))
+                    (slice(rows.start + row_res + dr, rows.stop - reach_rows + dr, row_mod),
+                     slice(cols.start + col_res + dc, cols.stop - reach_cols + dc, col_mod))
                     for dr, dc in offsets
                 )
                 keep = None
@@ -260,15 +290,17 @@ def _bind(image: np.ndarray, group: StencilGroup, out=None, fixed=None):
     if out is None:
         out = [np.empty(n) for _ in group.windows]
     cols = [b[:n] for b, _ in zip(out, group.windows)]
-    if group.index is None:
+    if group.index is None and group.keep is None:
         pairs = [(image[w], c.reshape(group.shape)) for w, c in zip(group.windows, cols)]
         loads = [partial(np.copyto, c, v) for v, c in pairs]
         stores = [partial(np.copyto, v, c) for v, c in pairs]
     else:
-        # Index form: position j reads the one index through the image shifted by its offset.
+        # Index form (a box form is turned into it): position j reads the
+        # one index through the image shifted by its offset.
+        index = group.flat_index()[0] if group.index is None else group.index
         views = [image.reshape(-1)[o:] for o in group.offsets]
-        loads = [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)]
-        stores = [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)]
+        loads = [partial(v.take, index, out=c, mode="clip") for v, c in zip(views, cols)]
+        stores = [partial(v.__setitem__, index, c) for v, c in zip(views, cols)]
     if fixed is not None:
         touched = np.concatenate(group.flat_index(fixed[0]))
         stores.append(partial(image.reshape(-1).__setitem__, touched, fixed[1].flat[touched]))
@@ -291,11 +323,11 @@ def _scratch(groups, longest=0) -> list[np.ndarray]:
     """Buffers for one group step or energy term of any of ``groups``: a
     column per stencil position of the groups that gather (index forms, and
     the data term with its reference), as long as the longest of them, plus
-    two as long as any group or ``longest``."""
+    two as long as any group (a box form: its lattice) or ``longest``."""
     gathered = [g for g in groups if g.index is not None or g.filt is None]
     width = max(map(len, gathered), default=0)
     arity = max((2 if g.filt is None else g.filt.arity for g in gathered), default=0)
-    longest = max([longest, *map(len, groups)])
+    longest = max([longest, *(len(g) if g.keep is None else g.keep.size for g in groups)])
     return [np.empty(width) for _ in range(arity)] + [np.empty(longest), np.empty(longest)]
 
 
@@ -304,10 +336,10 @@ def energy_from_groups(x, f, groups) -> float:
 
     A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
     stencils, the data term ``sum dist(v, f)^2`` over its pixels, with
-    ``v`` read from ``x`` and the reference from ``f``.  A whole lattice
-    forms its tap sums straight from the windows of ``x``; an index form
-    and the data term are gathered first.  Either way the tap sums fill one
-    contiguous buffer in stencil order, so both forms give the same bits.
+    ``v`` read from ``x`` and the reference from ``f``.  A whole lattice or
+    box form takes its tap sums straight from the windows of ``x``; an
+    index form and the data term are gathered first.  Either way the tap
+    sums fill one buffer in stencil order, so all forms give the same bits.
 
     ``groups`` is a list of :class:`StencilGroup` as :func:`stencil_groups`
     builds it (empty: 0), ``x`` and ``f`` real images of their image shape,
@@ -340,10 +372,15 @@ def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float
                 np.subtract(gather(x, g, columns)[0], f_data, out=theta)
                 total += float(np.sum(np.square(_near_wrap(theta, tmp), out=theta)))
                 continue
-            if g.index is None:
+            if g.index is not None:
+                _tap_sum(gather(x, g, columns), theta)
+            elif g.keep is None:
                 _tap_sum([x[w] for w in g.windows], theta.reshape(g.shape))
             else:
-                _tap_sum(gather(x, g, columns), theta)
+                # Those of the box lattice, compressed to the kept stencils.
+                box = tmp_buf[:g.keep.size]
+                _tap_sum([x[w] for w in g.windows], box.reshape(g.shape))
+                np.compress(g.keep.reshape(-1), box, out=theta)
             total += g.weight * float(np.sum(np.abs(_near_wrap(theta, tmp), out=theta)))
     return total
 

@@ -10,16 +10,26 @@ term's prox (weight 2).  For every entry the sweep runs the loads,
 mode the last store of a difference step resets the known pixels it
 touches to the data.
 
-Each maximal run of whole-lattice difference groups of one stride (rs, cs)
-steps on the phases ``x[a::rs, b::cs]``, held flat and padded in one
-buffer that all runs share: a run loads its phases once and stores them
-once, and each stencil position is one contiguous slice of a phase, so
-every ufunc is 1-D and unit-stride (see ``_bind_run``).  A slice's
-row-end entries go through the arithmetic too; they hold finite values
-and are put back after the step.  In noiseless mode the projection
-after each step of a run resets every known pixel of its phases.  Each
-pixel sees the same operations in the same order as when every group is
-stepped on the image, so the output is the same bit for bit.
+Each maximal run of lattice difference groups (whole lattices or box
+forms) of one stride (rs, cs) steps on the phases ``x[box][a::rs,
+b::cs]`` of the problem's box, :func:`phasetv.model._box`: the whole
+image, or in noiseless mode the hole's bounding box, whose origin is a
+multiple of 6 so that each phase of the box is one of the image.  Phase
+p = a*cs + b is held flat at ``[p*H*W, (p+1)*H*W)`` of one buffer that
+all runs share, padded to (H, W) = (ceil(rows / rs), ceil(cols / cs)) of
+the box.  A run loads its phases once and stores them once.  Since a
+family's arity is rs*cs, each stencil position of a group lies in a
+phase of its own, and its column is the contiguous slice of that phase
+from its first pixel to its last, so every ufunc is 1-D and unit-stride.
+The (nr-1)*(W-nc) row-end entries of a slice, which pair pixels across
+rows or with padding, go through the arithmetic too; they hold finite
+values, and a load saves them and a store puts them back.  In noiseless
+mode the projection after each step of a run resets every known pixel
+of its phases, so a box form can step its whole lattice: a stencil that
+touches no unknown pixel moves only known pixels, and they are back
+before any other group reads them.  Each pixel sees the same operations
+in the same order as when every group is stepped on the image in index
+form, so the output is the same bit for bit.
 
 Finite in, finite throughout: :func:`run_cppa` checks that ``x0`` and
 ``f`` hold finite angles, the weights are finite and ``lambda0 <= 1e300``,
@@ -49,7 +59,8 @@ from itertools import groupby
 import numpy as np
 
 from .circle import _LAMBDA0_MAX, _check_number, _wrap_array
-from .model import Weights, _bind, _check_problem, _energy, _scratch, gather, stencil_groups
+from .model import (Weights, _bind, _box, _check_problem, _energy, _scratch, gather,
+                    stencil_groups)
 from .prox import _prox_data_into, shrink_columns
 
 # Pixels per block of the once-per-sweep wrap: it caps the scratch at 256 KB
@@ -109,43 +120,37 @@ def lambda_schedule(k: int, lambda0: float) -> float:
 
 
 def _stride(group):
-    """The stride (rs, cs) of a whole-lattice difference group, else None."""
+    """The stride (rs, cs) of a difference group in lattice or box form,
+    else None."""
     if group.index is not None or group.filt is None:
         return None
     rows, cols = group.windows[0]
     return rows.step, cols.step
 
 
-def _phase_shape(image_shape, stride) -> tuple[int, int]:
+def _phase_shape(box_shape, stride) -> tuple[int, int]:
     """(H, W) = (ceil(rows / rs), ceil(cols / cs)): the shape to which each
-    phase ``x[a::rs, b::cs]`` of the stride (rs, cs) is padded."""
-    return -(-image_shape[0] // stride[0]), -(-image_shape[1] // stride[1])
+    phase of the stride (rs, cs) of a box of ``box_shape`` is padded."""
+    return -(-box_shape[0] // stride[0]), -(-box_shape[1] // stride[1])
 
 
-def _bind_run(image: np.ndarray, run, pool: np.ndarray, fixed=None):
-    """:func:`phasetv.model._bind` for a run of whole-lattice difference
-    groups of one stride (rs, cs): one ``(cols, loads, stores)`` per group,
-    bound on the run's phases instead of on ``image``.
-
-    Phase p = a*cs + b, the sub-image ``image[a::rs, b::cs]``, is held flat
-    in ``pool[p*H*W:(p+1)*H*W]``, padded to the (H, W) of
-    :func:`_phase_shape`; ``pool`` must be that long and finite.  The first
+def _bind_run(image: np.ndarray, box, run, pool: np.ndarray, fixed=None):
+    """:func:`phasetv.model._bind` for a run of lattice difference groups of
+    one stride that lie in ``box``: one ``(cols, loads, stores)`` per group,
+    bound on the phases of ``image[box]`` laid out in ``pool`` as the module
+    docstring says; ``pool`` must be that long and finite.  The first
     group's loads begin by copying the phases in, and the last group's
-    stores end by copying them back.  Since a family's arity is rs*cs, each
-    stencil position of a group lies in a phase of its own, and its column
-    is the contiguous slice of that phase from its first pixel to its last,
-    at most H*W long.  The (nr-1)*(W-nc) row-end entries of a slice, which
-    pair pixels across rows or with padding, are saved by a load and put
-    back by a store.  With ``fixed``, a (mask, values) pair of images, the
-    last store of each group resets the phases' pixels where the mask is
-    True to the values.
+    stores end by copying them back.  With ``fixed``, a (mask, values) pair
+    of images, the last store of each group resets the phases' pixels where
+    the mask is True to the values.
     """
     rs, cs = stride = _stride(run[0])
-    H, W = _phase_shape(image.shape, stride)
+    top, left = box[0].start, box[1].start
+    H, W = _phase_shape(image[box].shape, stride)
     phases = [pool[p * H * W:(p + 1) * H * W] for p in range(rs * cs)]
 
     def views(a):
-        return [a[p // cs::rs, p % cs::cs] for p in range(rs * cs)]
+        return [a[box][p // cs::rs, p % cs::cs] for p in range(rs * cs)]
 
     pairs = [(v, ph.reshape(H, W)[:v.shape[0], :v.shape[1]]) for v, ph in zip(views(image), phases)]
     if fixed is not None:
@@ -161,7 +166,7 @@ def _bind_run(image: np.ndarray, run, pool: np.ndarray, fixed=None):
         cols, loads, stores = [], [], []
         for r, c in g.windows:
             phase = phases[r.start % rs * cs + c.start % cs]
-            o = r.start // rs * W + c.start // cs
+            o = (r.start - top) // rs * W + (c.start - left) // cs
             cols.append(phase[o:o + (nr - 1) * W + nc])
             if nr > 1 and nc < W:
                 ends = phase[o:o + (nr - 1) * W].reshape(nr - 1, W)[:, nc:]
@@ -214,9 +219,11 @@ def run_cppa(
     # The data term, if any, is the last group; it steps after the wrap.
     live = [g for g in groups if len(g)]
     data = live.pop() if live and live[-1].filt is None else None
-    # Consecutive whole-lattice groups of one stride form a run.  The runs
-    # share one pool, and their columns are no longer than a phase.
-    shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
+    # Consecutive lattice and box-form groups of one stride form a run on
+    # the phases of the box.  The runs share one pool, and their columns
+    # are no longer than a phase.
+    box = _box(known, noiseless)
+    shapes = [(math.prod(s), *_phase_shape(x2d[box].shape, s)) for s in set(map(_stride, live)) if s]
     pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
     scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))
     *columns, theta_buf, step_buf = scratch
@@ -233,7 +240,7 @@ def run_cppa(
         if stride is None:
             bound = [_bind(x2d, g, columns, fixed) for g in run]
         else:
-            bound = _bind_run(x2d, run, pool, fixed)
+            bound = _bind_run(x2d, box, run, pool, fixed)
         for g, (cols, loads, stores) in zip(run, bound):
             n = cols[0].size
             kernel = partial(shrink_columns, cols, filt=g.filt, theta_buf=theta_buf[:n],

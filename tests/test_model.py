@@ -14,7 +14,9 @@ from phasetv import (
     energy,
     energy_from_groups,
     enumerate_stencils,
+    mask_band,
     mask_disc,
+    mask_random,
     mask_subsample3,
     wrap,
 )
@@ -151,18 +153,49 @@ def test_partition_covers_every_stencil_exactly_once():
         assert seen == expected
 
 
+def _stencil_sets(groups):
+    return {g.label: {tuple(map(tuple, s)) for s in g.pixels} for g in groups if not g.is_data_term}
+
+
+def test_noiseless_groups_hold_the_stencils_that_touch_an_unknown_pixel():
+    # Each noiseless group, in whatever form, holds exactly the stencils of
+    # its noisy (whole-lattice) namesake that touch an unknown pixel, so the
+    # box keeps every such stencil and every residue class its label.
+    rng = np.random.default_rng(47)
+    masks = [rng.random((11, 13)) < p for p in (0.3, 0.6, 0.9)]
+    for top, left in ((0, 0), (3, 4), (5, 7), (7, 6), (8, 13), (13, 2)):
+        known = np.ones((24, 23), bool)
+        known[top:top + 5, left:left + 4] = False
+        masks.append(known)
+    masks.append(~mask_disc((30, 30), 4.0))
+    for known in masks:
+        noisy = _stencil_sets(stencil_groups(known.shape, known, ALL_ON, "noisy"))
+        noiseless = _stencil_sets(stencil_groups(known.shape, known, ALL_ON, "noiseless"))
+        assert noisy.keys() == noiseless.keys()
+        for label, stencils in noisy.items():
+            touching = {s for s in stencils if any(not known[p] for p in s)}
+            assert noiseless[label] == touching, label
+
+
 def test_full_lattices_keep_the_lattice_form():
     # Every stencil touches an unknown pixel under mask_subsample3, and
     # noisy mode keeps every stencil, so those difference groups are whole
-    # lattices; the stencils around a disc are not.
+    # lattices.  The stencils around a disc that fills most of its box are
+    # a dense part of each box lattice and take the box form; those of a
+    # sparse random loss take the index form.
     for shape in ((12, 12), (13, 8)):
         sub = mask_subsample3(shape)
         for groups in (stencil_groups(shape, sub, ALL_ON, "noiseless"),
                        stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noisy")[:-1]):
             assert len(groups) == 18
-            assert all(g.index is None for g in groups)
-    disc = stencil_groups((12, 12), mask_disc((12, 12), 3.0), ALL_ON, "noiseless")
-    assert all(g.index is not None for g in disc)
+            assert all(g.index is None and g.keep is None for g in groups)
+    for shape, radius in (((16, 16), 7.0), ((20, 20), 9.0)):
+        disc = stencil_groups(shape, mask_disc(shape, radius), ALL_ON, "noiseless")
+        assert len(disc) == 18
+        assert all(g.index is None and g.keep.shape == g.shape for g in disc)
+        assert all(0 < len(g) < g.keep.size for g in disc)
+    sparse = stencil_groups((16, 16), mask_random((16, 16), 0.1, 3), ALL_ON, "noiseless")
+    assert len(sparse) == 18 and all(g.index is not None and g.keep is None for g in sparse)
 
 
 def test_mask_and_kind_validation():
@@ -280,24 +313,31 @@ def test_energy_matches_stencil_by_stencil_sum():
     # stencil's coordinates, one patch at a time through the sweep's
     # wrapped inner product, summed in Python.
     rng = np.random.default_rng(43)
-    seen = {"lattice": 0, "index": 0, "data": 0}
-    for shape in _random_shapes(rng, 30):
-        for kind in ("noiseless", "noisy"):
-            x, f, known, w = _random_case(rng, shape, kind)
-            want = 0.0
-            for g in enumerate_stencils(shape, known, w, kind):
-                if len(g) == 0:
-                    continue
-                seen["data" if g.is_data_term else
-                     "lattice" if g.index is None else "index"] += 1
-                pix = g.pixels
-                if g.is_data_term:
-                    rows, cols = pix[:, 0, 0], pix[:, 0, 1]
-                    want += float(np.sum(dist(x[rows, cols], f[rows, cols]) ** 2))
-                    continue
-                want += g.weight * sum(abs_cyclic_diff(x[p[:, 0], p[:, 1]], g.filt)
-                                       for p in pix)
-            assert _close(energy(x, f, known, w, kind), want), (shape, kind)
+    seen = {"lattice": 0, "box": 0, "index": 0, "data": 0}
+    cases = [(shape, kind, _random_case(rng, shape, kind))
+             for shape in _random_shapes(rng, 30) for kind in ("noiseless", "noisy")]
+    # A disc and a band that fill most of their boxes: box-form groups.
+    for shape, known in (((20, 20), mask_disc((20, 20), 9.0)),
+                         ((18, 27), mask_band((18, 27), start=9, width=6)),
+                         ((25, 14), mask_band((25, 14), start=4, width=7, orientation="horizontal"))):
+        x, f, _, w = _random_case(rng, shape, "noiseless")
+        cases.append((shape, "noiseless", (np.where(known, f, x), f, known, w)))
+        cases.append((shape, "noiseless", (np.where(known, f, x), f, known, ALL_ON)))
+    for shape, kind, (x, f, known, w) in cases:
+        want = 0.0
+        for g in enumerate_stencils(shape, known, w, kind):
+            if len(g) == 0:
+                continue
+            seen["data" if g.is_data_term else "index" if g.index is not None else
+                 "lattice" if g.keep is None else "box"] += 1
+            pix = g.pixels
+            if g.is_data_term:
+                rows, cols = pix[:, 0, 0], pix[:, 0, 1]
+                want += float(np.sum(dist(x[rows, cols], f[rows, cols]) ** 2))
+                continue
+            want += g.weight * sum(abs_cyclic_diff(x[p[:, 0], p[:, 1]], g.filt)
+                                   for p in pix)
+        assert _close(energy(x, f, known, w, kind), want), (shape, kind)
     assert all(count > 0 for count in seen.values()), seen
 
 
@@ -363,14 +403,16 @@ def test_energy_invariant_under_transpose_and_flip():
 
 def test_scatter_undoes_gather_on_lattice_and_index_groups():
     rng = np.random.default_rng(45)
-    shape = (12, 13)
+    shape = (16, 16)
     x = rng.uniform(-np.pi, np.pi, shape)
     cases = {
         "lattice": stencil_groups(shape, mask_subsample3(shape), ALL_ON, "noiseless"),
-        "index": stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noiseless"),
+        "box": stencil_groups(shape, mask_disc(shape, 7.0), ALL_ON, "noiseless"),
+        "index": stencil_groups(shape, mask_random(shape, 0.1, 3), ALL_ON, "noiseless"),
         "data term": stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noisy")[-1:],
     }
-    assert all(g.index is None for g in cases["lattice"])
+    assert all(g.index is None and g.keep is None for g in cases["lattice"])
+    assert all(g.index is None and g.keep is not None for g in cases["box"])
     assert all(g.index is not None for g in cases["index"] + cases["data term"])
     for name, groups in cases.items():
         for g in groups:

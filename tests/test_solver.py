@@ -23,6 +23,7 @@ from phasetv import (
     run_cppa,
     wrap,
 )
+import phasetv.model as model_mod
 import phasetv.solver as solver_mod
 from phasetv.model import gather, stencil_groups
 from phasetv.prox import shrink_columns
@@ -327,8 +328,8 @@ def _random_weights(rng, active=None):
 
 
 def test_lattice_form_matches_index_form(monkeypatch):
-    # Runs of whole-lattice groups of one stride step on flat phase
-    # buffers; the index form steps on the image itself.
+    # Runs of whole-lattice and box-form groups of one stride step on flat
+    # phase buffers; the index form steps on the image itself.
     rng = np.random.default_rng(38)
     cases = []
     shapes = [(1, 1), (1, 2), (2, 1), (1, 7), (7, 1), (2, 2), (1, 13), (13, 1), (13, 13)]
@@ -356,13 +357,46 @@ def test_lattice_form_matches_index_form(monkeypatch):
         for active in families[i % 7], families[(i + 3) % 7]:
             w = _random_weights(rng, active)
             cases += [(np.where(known, f, x0), f, known, w, kind) for kind, known in problems]
-    seen = dict.fromkeys(("empty", "lattice", "index", "row ends", "long run", "split run"), 0)
+    # Noiseless holes whose groups take the box form, stepped on the
+    # phases of the hole's box: holes and off-centre discs against every
+    # edge and corner, holes whose first unknown row or col is 0-5 (so the
+    # box origin is rounded down to 0 or 6), two far-apart holes whose
+    # joint box is sparse, and random loss on both sides of the density
+    # threshold.
+    for i, shape in enumerate([(20, 22), (23, 19), (27, 27), (18, 31)]):
+        n_rows, n_cols = shape
+        holes = [(rows, cols) for rows in (slice(0, 9), slice(6, n_rows - 5), slice(n_rows - 9, None))
+                 for cols in (slice(0, 10), slice(7, n_cols - 6), slice(n_cols - 10, None))]
+        holes += [(slice(s, s + 11), slice(t, t + 11)) for s, t in zip(range(6), (5, 0, 3, 1, 4, 2))]
+        holes += [(slice(r, r + 1), slice(0, n_cols)) for r in (0, 4, n_rows - 1)]
+        holes += [(slice(0, n_rows), slice(c, c + 2)) for c in (3, n_cols - 2)]
+        masks = []
+        for rows, cols in holes:
+            known = np.ones(shape, bool)
+            known[rows, cols] = False
+            masks.append(known)
+        rr, cc = np.ogrid[:n_rows, :n_cols]
+        for cy, cx in ((0, 0), (n_rows - 3, 2), (4, n_cols - 1), (n_rows - 1, n_cols - 5),
+                       (n_rows // 2 + 1, 5)):
+            masks.append((rr - cy) ** 2 + (cc - cx) ** 2 > float(rng.uniform(20, 60)))
+        known = np.ones(shape, bool)
+        known[1:3, 2:4] = known[-3:-1, -4:-2] = False
+        masks.append(known)
+        masks += [rng.random(shape) >= p for p in (0.2, 0.35, 0.5, 0.7)]
+        for j, known in enumerate(masks):
+            f = rng.uniform(-np.pi, np.pi, shape)
+            w = _random_weights(rng, families[(i + j) % 7] if j % 2 else "1111111")
+            cases.append((np.where(known, f, rng.uniform(-np.pi, np.pi, shape)), f, known, w,
+                          "noiseless"))
+    seen = dict.fromkeys(("empty", "lattice", "box", "index", "row ends", "long run", "split run"),
+                         0)
     calls = []
     cfg = SolverConfig(max_sweeps=3)
     for x0, f, known, w, kind in cases:
         groups = stencil_groups(f.shape, known, w, kind)
         seen["empty"] += sum(len(g) == 0 for g in groups)
-        seen["lattice"] += sum(g.index is None for g in groups)
+        seen["lattice"] += sum(g.index is None and g.keep is None for g in groups)
+        seen["box"] += sum(g.index is None and g.keep is not None for g in groups)
         seen["index"] += sum(g.index is not None for g in groups)
         live = [g for g in groups if len(g)]
         runs = [(s, list(run)) for s, run in groupby(live, solver_mod._stride)]
@@ -373,7 +407,8 @@ def test_lattice_form_matches_index_form(monkeypatch):
             seen["long run"] += stride is not None and len(run) > 1
             for g in run if stride else ():
                 nr, nc = g.shape
-                seen["row ends"] += nr > 1 and nc < solver_mod._phase_shape(f.shape, stride)[1]
+                box = f[model_mod._box(known, kind == "noiseless")].shape
+                seen["row ends"] += nr > 1 and nc < solver_mod._phase_shape(box, stride)[1]
         lattice = run_cppa(x0, f, known, w, kind, cfg)
         with monkeypatch.context() as m:
             m.setattr(solver_mod, "stencil_groups", _index_groups(calls))
