@@ -128,7 +128,7 @@ class StencilGroup:
     is a strided view of shape ``shape`` holding the pixel at stencil
     position j of every stencil of the lattice, the stencils in row-major
     order of their leading pixels.  The group has one of three forms.  A
-    whole lattice has ``index`` and ``keep`` None.  In box form ``keep``,
+    whole lattice has ``index`` and ``keep`` None.  In dense form ``keep``,
     a boolean array of shape ``shape``, marks the stencils it holds.  In
     index form, which wins over ``keep``, ``index`` holds the flat index
     of each stencil's leading pixel in the C-order image of shape
@@ -184,33 +184,20 @@ class StencilGroup:
         return [c[where[c]] for c in ids]
 
 
-# The least share of its box lattice a group needs for the box form.
-# run_cppa at 256^2, index -> box form (shares), 100 sweeps, 2 vCPUs: disc
-# r=64 (.72-.76) 56 -> 42 ms, 50% loss (.75-.94) 230 -> 147 ms, 20% loss
-# (.36-.59) 144 -> 162 ms, 5% loss (.10-.19) 56 -> 170 ms.  A threshold of
-# 0.55 timed the same as 0.65 within noise at 20-35% loss.
+# The least share of its lattice a group needs for the dense form.
+# run_cppa at 256^2 on the hole's crop, index -> dense form (shares), 100
+# sweeps, 2 vCPUs: disc r=64 (.72-.76) 56 -> 42 ms, 50% loss (.75-.94)
+# 230 -> 147 ms, 20% loss (.36-.59) 144 -> 162 ms, 5% loss (.10-.19) 56 ->
+# 170 ms.  A threshold of 0.55 timed the same as 0.65 within noise at
+# 20-35% loss.
 _DENSE = 0.65
-
-
-def _box(known: np.ndarray, noiseless: bool) -> tuple[slice, slice]:
-    """The (row, col) slices that hold the lattices: the whole image, or
-    in noiseless mode the bounding box of the unknown pixels with a margin
-    of 2, which holds every stencil touching one, its origin rounded down
-    to a multiple of 6 so that each residue class keeps its label."""
-    unknown = ~known
-    if not noiseless or not unknown.any():
-        return slice(0, known.shape[0]), slice(0, known.shape[1])
-    box = []
-    for axis, n in enumerate(known.shape):
-        lines = np.flatnonzero(unknown.any(axis=1 - axis)).tolist()
-        box.append(slice(max(lines[0] - 2, 0) // 6 * 6, min(lines[-1] + 3, n)))
-    return tuple(box)
 
 
 def _lattice_group(label, filt, weight, windows, keep, image_shape) -> StencilGroup:
     """A group from its lattice and the mask ``keep`` of the stencils it
-    keeps (None: all); a partial lattice gets the box form if it is a dense
-    difference group, else the index form."""
+    keeps (None: all); a partial lattice of a difference group that keeps
+    at least ``_DENSE`` of its stencils takes the dense form, any other the
+    index form."""
     shape = tuple(len(range(s.start, s.stop, s.step)) for s in windows[0])
     index = None
     if keep is not None and keep.all():
@@ -228,17 +215,15 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
     stencil fits the image domain; its residue classes are then all
     present (possibly empty), so the cycle length depends only on which
     weights are active, not on the mask.  In ``noiseless`` mode stencils
-    that touch no unknown pixel are dropped and the lattices cut to the
-    :func:`_box`; in ``noisy`` mode all fitting stencils are kept and the
-    data term, the stride-1 lattice over the whole image restricted to the
-    known pixels, is appended as label 19.  Partial lattices take the form
-    :func:`_lattice_group` chooses.
+    that touch no unknown pixel are dropped; in ``noisy`` mode all fitting
+    stencils are kept and the data term, the stride-1 lattice over the
+    whole image restricted to the known pixels, is appended as label 19.
+    Partial lattices take the form :func:`_lattice_group` chooses.
     """
     n_rows, n_cols = _check_shape(shape)
     known = _check_image(mask, "mask", (n_rows, n_cols), "the image's", kinds="b")
     noiseless = _check_choice(model_kind, "model_kind", MODEL_KINDS) == "noiseless"
     unknown = ~known if noiseless else None
-    rows, cols = _box(known, noiseless)
 
     groups: list[StencilGroup] = []
     label = 1
@@ -251,8 +236,8 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
         for col_res in range(col_mod):
             for row_res in range(row_mod):
                 windows = tuple(
-                    (slice(rows.start + row_res + dr, rows.stop - reach_rows + dr, row_mod),
-                     slice(cols.start + col_res + dc, cols.stop - reach_cols + dc, col_mod))
+                    (slice(row_res + dr, n_rows - reach_rows + dr, row_mod),
+                     slice(col_res + dc, n_cols - reach_cols + dc, col_mod))
                     for dr, dc in offsets
                 )
                 keep = None
@@ -295,7 +280,7 @@ def _bind(image: np.ndarray, group: StencilGroup, out=None, fixed=None):
         loads = [partial(np.copyto, c, v) for v, c in pairs]
         stores = [partial(np.copyto, v, c) for v, c in pairs]
     else:
-        # Index form (a box form is turned into it): position j reads the
+        # Index form (a dense form is turned into it): position j reads the
         # one index through the image shifted by its offset.
         index = group.flat_index()[0] if group.index is None else group.index
         views = [image.reshape(-1)[o:] for o in group.offsets]
@@ -323,7 +308,7 @@ def _scratch(groups, longest=0) -> list[np.ndarray]:
     """Buffers for one group step or energy term of any of ``groups``: a
     column per stencil position of the groups that gather (index forms, and
     the data term with its reference), as long as the longest of them, plus
-    two as long as any group (a box form: its lattice) or ``longest``."""
+    two as long as any group (a dense form: its lattice) or ``longest``."""
     gathered = [g for g in groups if g.index is not None or g.filt is None]
     width = max(map(len, gathered), default=0)
     arity = max((2 if g.filt is None else g.filt.arity for g in gathered), default=0)
@@ -337,7 +322,7 @@ def energy_from_groups(x, f, groups) -> float:
     A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
     stencils, the data term ``sum dist(v, f)^2`` over its pixels, with
     ``v`` read from ``x`` and the reference from ``f``.  A whole lattice or
-    box form takes its tap sums straight from the windows of ``x``; an
+    dense form takes its tap sums straight from the windows of ``x``; an
     index form and the data term are gathered first.  Either way the tap
     sums fill one buffer in stencil order, so all forms give the same bits.
 
@@ -377,10 +362,10 @@ def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float
             elif g.keep is None:
                 _tap_sum([x[w] for w in g.windows], theta.reshape(g.shape))
             else:
-                # Those of the box lattice, compressed to the kept stencils.
-                box = tmp_buf[:g.keep.size]
-                _tap_sum([x[w] for w in g.windows], box.reshape(g.shape))
-                np.compress(g.keep.reshape(-1), box, out=theta)
+                # Those of the whole lattice, compressed to the kept stencils.
+                whole = tmp_buf[:g.keep.size]
+                _tap_sum([x[w] for w in g.windows], whole.reshape(g.shape))
+                np.compress(g.keep.reshape(-1), whole, out=theta)
             total += g.weight * float(np.sum(np.abs(_near_wrap(theta, tmp), out=theta)))
     return total
 

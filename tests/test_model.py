@@ -159,8 +159,7 @@ def _stencil_sets(groups):
 
 def test_noiseless_groups_hold_the_stencils_that_touch_an_unknown_pixel():
     # Each noiseless group, in whatever form, holds exactly the stencils of
-    # its noisy (whole-lattice) namesake that touch an unknown pixel, so the
-    # box keeps every such stencil and every residue class its label.
+    # its noisy (whole-lattice) namesake that touch an unknown pixel.
     rng = np.random.default_rng(47)
     masks = [rng.random((11, 13)) < p for p in (0.3, 0.6, 0.9)]
     for top, left in ((0, 0), (3, 4), (5, 7), (7, 6), (8, 13), (13, 2)):
@@ -180,8 +179,8 @@ def test_noiseless_groups_hold_the_stencils_that_touch_an_unknown_pixel():
 def test_full_lattices_keep_the_lattice_form():
     # Every stencil touches an unknown pixel under mask_subsample3, and
     # noisy mode keeps every stencil, so those difference groups are whole
-    # lattices.  The stencils around a disc that fills most of its box are
-    # a dense part of each box lattice and take the box form; those of a
+    # lattices.  The stencils around a disc that fills most of the image
+    # are a dense part of each lattice and take the dense form; those of a
     # sparse random loss take the index form.
     for shape in ((12, 12), (13, 8)):
         sub = mask_subsample3(shape)
@@ -313,10 +312,11 @@ def test_energy_matches_stencil_by_stencil_sum():
     # stencil's coordinates, one patch at a time through the sweep's
     # wrapped inner product, summed in Python.
     rng = np.random.default_rng(43)
-    seen = {"lattice": 0, "box": 0, "index": 0, "data": 0}
+    seen = {"lattice": 0, "dense": 0, "index": 0, "data": 0}
     cases = [(shape, kind, _random_case(rng, shape, kind))
              for shape in _random_shapes(rng, 30) for kind in ("noiseless", "noisy")]
-    # A disc and a band that fill most of their boxes: box-form groups.
+    # A disc that fills most of the image: dense groups.  Two bands that
+    # do not: index forms.
     for shape, known in (((20, 20), mask_disc((20, 20), 9.0)),
                          ((18, 27), mask_band((18, 27), start=9, width=6)),
                          ((25, 14), mask_band((25, 14), start=4, width=7, orientation="horizontal"))):
@@ -329,7 +329,7 @@ def test_energy_matches_stencil_by_stencil_sum():
             if len(g) == 0:
                 continue
             seen["data" if g.is_data_term else "index" if g.index is not None else
-                 "lattice" if g.keep is None else "box"] += 1
+                 "lattice" if g.keep is None else "dense"] += 1
             pix = g.pixels
             if g.is_data_term:
                 rows, cols = pix[:, 0, 0], pix[:, 0, 1]
@@ -407,12 +407,12 @@ def test_scatter_undoes_gather_on_lattice_and_index_groups():
     x = rng.uniform(-np.pi, np.pi, shape)
     cases = {
         "lattice": stencil_groups(shape, mask_subsample3(shape), ALL_ON, "noiseless"),
-        "box": stencil_groups(shape, mask_disc(shape, 7.0), ALL_ON, "noiseless"),
+        "dense": stencil_groups(shape, mask_disc(shape, 7.0), ALL_ON, "noiseless"),
         "index": stencil_groups(shape, mask_random(shape, 0.1, 3), ALL_ON, "noiseless"),
         "data term": stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noisy")[-1:],
     }
     assert all(g.index is None and g.keep is None for g in cases["lattice"])
-    assert all(g.index is None and g.keep is not None for g in cases["box"])
+    assert all(g.index is None and g.keep is not None for g in cases["dense"])
     assert all(g.index is not None for g in cases["index"] + cases["data term"])
     for name, groups in cases.items():
         for g in groups:

@@ -23,7 +23,6 @@ from phasetv import (
     run_cppa,
     wrap,
 )
-import phasetv.model as model_mod
 import phasetv.solver as solver_mod
 from phasetv.model import gather, stencil_groups
 from phasetv.prox import shrink_columns
@@ -137,9 +136,9 @@ def test_constraint_pixels_bit_exact():
         assert np.array_equal(rep.image[known].view(np.uint64), f[known].view(np.uint64)), k
 
 
-def test_known_pixels_keep_f_bits_outside_the_row_band():
-    # Only row 3 holds an unknown pixel, so the per-sweep wrap skips the
-    # other rows.  x0 equals f there up to the sign of zero, which the
+def test_known_pixels_keep_f_bits_outside_the_crop():
+    # Only pixel (3, 1) is unknown, so the run steps on rows 0-5 and cols
+    # 0-3 only.  x0 equals f there up to the sign of zero, which the
     # noiseless precondition accepts; the result must still carry f's bits.
     f = np.random.default_rng(32).uniform(-np.pi, np.pi, (6, 6))
     f[0, 0] = f[5, 5] = -0.0
@@ -328,7 +327,7 @@ def _random_weights(rng, active=None):
 
 
 def test_lattice_form_matches_index_form(monkeypatch):
-    # Runs of whole-lattice and box-form groups of one stride step on flat
+    # Runs of whole and dense lattice groups of one stride step on flat
     # phase buffers; the index form steps on the image itself.
     rng = np.random.default_rng(38)
     cases = []
@@ -357,12 +356,11 @@ def test_lattice_form_matches_index_form(monkeypatch):
         for active in families[i % 7], families[(i + 3) % 7]:
             w = _random_weights(rng, active)
             cases += [(np.where(known, f, x0), f, known, w, kind) for kind, known in problems]
-    # Noiseless holes whose groups take the box form, stepped on the
-    # phases of the hole's box: holes and off-centre discs against every
-    # edge and corner, holes whose first unknown row or col is 0-5 (so the
-    # box origin is rounded down to 0 or 6), two far-apart holes whose
-    # joint box is sparse, and random loss on both sides of the density
-    # threshold.
+    # Noiseless holes whose groups take the dense form on the hole's crop:
+    # holes and off-centre discs against every edge and corner, holes whose
+    # first unknown row or col is 0-5 (so the crop's origin is rounded down
+    # to 0 or 6), two far-apart holes whose joint crop is sparse, and random
+    # loss on both sides of the density threshold.
     for i, shape in enumerate([(20, 22), (23, 19), (27, 27), (18, 31)]):
         n_rows, n_cols = shape
         holes = [(rows, cols) for rows in (slice(0, 9), slice(6, n_rows - 5), slice(n_rows - 9, None))
@@ -388,15 +386,17 @@ def test_lattice_form_matches_index_form(monkeypatch):
             w = _random_weights(rng, families[(i + j) % 7] if j % 2 else "1111111")
             cases.append((np.where(known, f, rng.uniform(-np.pi, np.pi, shape)), f, known, w,
                           "noiseless"))
-    seen = dict.fromkeys(("empty", "lattice", "box", "index", "row ends", "long run", "split run"),
-                         0)
+    seen = dict.fromkeys(("empty", "lattice", "dense", "index", "row ends", "long run",
+                          "split run"), 0)
     calls = []
     cfg = SolverConfig(max_sweeps=3)
     for x0, f, known, w, kind in cases:
-        groups = stencil_groups(f.shape, known, w, kind)
+        # The groups the solver steps: those of the crop.
+        crop = known[solver_mod._box(known, kind == "noiseless")]
+        groups = stencil_groups(crop.shape, crop, w, kind)
         seen["empty"] += sum(len(g) == 0 for g in groups)
         seen["lattice"] += sum(g.index is None and g.keep is None for g in groups)
-        seen["box"] += sum(g.index is None and g.keep is not None for g in groups)
+        seen["dense"] += sum(g.index is None and g.keep is not None for g in groups)
         seen["index"] += sum(g.index is not None for g in groups)
         live = [g for g in groups if len(g)]
         runs = [(s, list(run)) for s, run in groupby(live, solver_mod._stride)]
@@ -407,8 +407,7 @@ def test_lattice_form_matches_index_form(monkeypatch):
             seen["long run"] += stride is not None and len(run) > 1
             for g in run if stride else ():
                 nr, nc = g.shape
-                box = f[model_mod._box(known, kind == "noiseless")].shape
-                seen["row ends"] += nr > 1 and nc < solver_mod._phase_shape(box, stride)[1]
+                seen["row ends"] += nr > 1 and nc < solver_mod._phase_shape(crop.shape, stride)[1]
         lattice = run_cppa(x0, f, known, w, kind, cfg)
         with monkeypatch.context() as m:
             m.setattr(solver_mod, "stencil_groups", _index_groups(calls))
@@ -417,6 +416,48 @@ def test_lattice_form_matches_index_form(monkeypatch):
             assert np.array_equal(a, b), (f.shape, kind)
     assert len(calls) == len(cases)
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_run_on_the_crop_matches_the_run_on_the_whole_image(monkeypatch):
+    # The noiseless run solves on the hole's crop.  Its margin of 2 must
+    # hold every stencil that touches an unknown pixel, and its origin,
+    # rounded down to a multiple of 6, must keep each residue class's label
+    # and so the cycle order: then the image and the energy trace are those
+    # of the run on the whole image, bit for bit.
+    rng = np.random.default_rng(39)
+    cases = []
+    for shape in ((23, 26), (30, 19), (17, 33)):
+        n_rows, n_cols = shape
+        # Holes against every edge and corner (those at the far edges clamp
+        # the crop there), holes whose first unknown row and col are 0-7,
+        # two far-apart holes and random loss.
+        holes = [[(rows, cols)] for rows in (slice(0, 4), slice(9, 13), slice(n_rows - 4, None))
+                 for cols in (slice(0, 5), slice(10, 14), slice(n_cols - 5, None))]
+        holes += [[(slice(s, s + 4), slice(t, t + 3))] for s, t in zip(range(8), (3, 7, 0, 5, 2, 6, 1, 4))]
+        holes.append([(slice(1, 3), slice(2, 4)), (slice(-3, -1), slice(-4, -2))])
+        masks = []
+        for hole in holes:
+            known = np.ones(shape, bool)
+            for rows, cols in hole:
+                known[rows, cols] = False
+            masks.append(known)
+        masks += [rng.random(shape) >= p for p in (0.05, 0.3)]
+        for j, known in enumerate(masks):
+            f = rng.uniform(-np.pi, np.pi, shape)
+            w = _random_weights(rng, None if j % 2 else "1111111")
+            cases.append((np.where(known, f, rng.uniform(-np.pi, np.pi, shape)), f, known, w))
+    cfg = SolverConfig(max_sweeps=3)
+    crops = 0
+    for x0, f, known, w in cases:
+        box = solver_mod._box(known, True)
+        crops += f[box].shape != f.shape
+        cropped = run_cppa(x0, f, known, w, "noiseless", cfg)
+        with monkeypatch.context() as m:
+            m.setattr(solver_mod, "_box", lambda known, noiseless: np.s_[:, :])
+            whole = run_cppa(x0, f, known, w, "noiseless", cfg)
+        for a, b in zip(_bits(cropped), _bits(whole)):
+            assert np.array_equal(a, b), (f.shape, box)
+    assert crops > len(cases) // 2
 
 
 def test_model_kind_and_mask_rejected():
@@ -619,10 +660,11 @@ def _whole_image_wrap_reference(x0, f, known, weights, cfg):
     return x2d
 
 
-def test_row_band_wrap_matches_whole_image_wrap():
-    # Known pixels fill whole rows above and below the unknown ones.  The
-    # data sits around the seam at -pi and lambda0 is large, so unwrapped
-    # group steps carry pixels of every band row out of [-pi, pi).
+def test_wrap_on_the_crop_matches_whole_image_wrap():
+    # Known pixels fill whole rows above and below the unknown ones, and
+    # the run wraps only its crop.  The data sits around the seam at -pi
+    # and lambda0 is large, so unwrapped group steps carry pixels of every
+    # row of the crop out of [-pi, pi).
     rng = np.random.default_rng(41)
     shape = (20, 17)
     band = mask_band(shape, start=6, width=5, orientation="horizontal")
