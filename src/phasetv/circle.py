@@ -19,6 +19,9 @@ _INV_TWO_PI = 1.0 / TWO_PI
 _BELOW_HALF = np.nextafter(0.5, 0.0)
 _EVERY_PIXEL = object()
 _FLOAT_MAX = float(np.finfo(float).max)
+# Entries per block of dist: its scratch, beside the result, is a few
+# blocks of 256 KB.
+_DIST_BLOCK = 1 << 15
 # The kinds of _check_number; float first, since an exact type match skips
 # the abstract class check, which takes about 0.2 us.
 _INTEGERS = (int, np.integer)
@@ -256,6 +259,16 @@ def wrap(t):
 def dist(p, q):
     """Geodesic distance on the circle, |wrap(q - p)|, in [0, pi]; ``p`` and ``q`` as for
     :func:`wrap`, of shapes that broadcast, subtracted once wrapped so as not to overflow."""
-    p = _wrap_array(_check_finite(p, "p"))
-    q = _wrap_array(_check_finite(q, "q"))
-    return _scalar(np.abs(_wrap_array(q - p)))
+    p, q = np.broadcast_arrays(_check_finite(p, "p"), _check_finite(q, "q"))
+    d = np.empty(p.shape)
+    # Block by block of the flat result, so that the scratch stays small; a
+    # flat slice of the broadcast p or q is a copy of one block.
+    out = d.reshape(-1)
+    wp, tmp = (np.empty(min(out.size, _DIST_BLOCK)) for _ in range(2))
+    for lo in range(0, out.size, _DIST_BLOCK):
+        block = out[lo:lo + _DIST_BLOCK]
+        n = block.size
+        _wrap_array(q.flat[lo:lo + n], out=block, tmp=tmp[:n])
+        block -= _wrap_array(p.flat[lo:lo + n], out=wp[:n], tmp=tmp[:n])
+        np.abs(_wrap_array(block, out=block, tmp=tmp[:n]), out=block)
+    return _scalar(d)

@@ -29,14 +29,16 @@ def _check_path(path):
     return path
 
 
-def write_bytes_atomic(path, blob: bytes) -> None:
-    """Write ``blob`` to ``path`` via a temp file and ``os.replace``, mode 0o666 & ~umask."""
+def write_bytes_atomic(path, *blobs) -> None:
+    """Write ``blobs``, bytes or C-contiguous buffers, one after the other to ``path`` via a
+    temp file and ``os.replace``, mode 0o666 & ~umask."""
     directory = os.path.dirname(os.path.abspath(_check_path(path)))
     tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(blob)
+            for blob in blobs:
+                handle.write(blob)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -48,8 +50,8 @@ def write_phase(path, x) -> None:
     """Write a phase image checked by ``check_phase_image``; a bad value raises ``FormatError``."""
     x = check_phase_image(x, "x", error=FormatError)
     header = b"%s %d %d\n" % (_MAGIC, x.shape[0], x.shape[1])
-    payload = np.ascontiguousarray(x, dtype="<f8").tobytes()
-    write_bytes_atomic(path, header + payload)
+    # The array's own buffer, copied only if it is not C-ordered <f8.
+    write_bytes_atomic(path, header, np.ascontiguousarray(x, dtype="<f8"))
 
 
 def read_phase(path) -> np.ndarray:

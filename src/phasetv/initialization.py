@@ -14,12 +14,15 @@ kind the pixel's position in the stencil from the last down to the first,
 so the placement whose leading pixel lies up or left is tried first.  The
 first pair whose other pixels are all in the image and already filled
 gives the value.  Tests and values read the state from the start of the
-round and the fills are written when it ends, so a band or disc grows
+round: each fill is written into the image at once, since a fill reads
+only pixels that were filled before the round, but the mask of filled
+pixels is updated only when the round ends.  So a band or disc grows
 inward one layer per round from all of its boundaries, the nearest data
-wins, and the order in which pixels are visited cannot matter.  Rounds
-stop when one fills nothing.  Pixels that no active stencil can reach (an
-unknown component with no known contact) are left at 0 and counted as
-unreachable.
+wins, and the order in which pixels are visited cannot matter.  A round
+walks the pending pixels in chunks of ``_CHUNK``, which bounds its
+temporaries whatever the size of the image.  Rounds stop when one fills
+nothing.  Pixels that no active stencil can reach (an unknown component
+with no known contact) are left at 0 and counted as unreachable.
 """
 
 from __future__ import annotations
@@ -33,6 +36,9 @@ from .model import _FAMILIES, Weights, _family_weights
 # a stencil over an image pixel stays inside it, and one that leaves the
 # image fails the test.
 _PAD = 2
+# Pending pixels per chunk of a round.  The round's temporaries, some tens
+# of bytes per pixel of a chunk, stay below about 5 MB.
+_CHUNK = 1 << 16
 
 
 # The fills take ``v``, the values at the stencil positions (None at the
@@ -90,14 +96,14 @@ def _propagate(f, known, weights: Weights):
     n_rows, n_cols = f.shape
 
     # Flat indices address the filled mask, which has a border of _PAD
-    # never-filled pixels, and separately x, which has none, so that x is
-    # never copied out of a padded array.  x is C order for any layout of f
-    # and known, so x_flat is a view.
+    # never-filled pixels; a fill maps them into x, which has none, so that
+    # x is never copied out of a padded array.
     width = n_cols + 2 * _PAD
     filled = np.zeros((n_rows + 2 * _PAD, width), dtype=bool)
-    filled[_PAD:_PAD + n_rows, _PAD:_PAD + n_cols] = known
     filled_flat = filled.ravel()
-    x = np.ascontiguousarray(np.where(known, f, 0.0))
+    inside = filled[_PAD:_PAD + n_rows, _PAD:_PAD + n_cols]
+    x = np.zeros((n_rows, n_cols))
+    np.copyto(x, f, where=known)
     x_flat = x.ravel()
     # The priority chain: per (kind, position t) pair, the offsets of the
     # stencil's other positions from position t, in the filled mask and in
@@ -109,37 +115,56 @@ def _propagate(f, known, weights: Weights):
             others = [dr * width + dc for u, (dr, dc) in enumerate(rel) if u != t]
             others_x = [None if u == t else dr * n_cols + dc for u, (dr, dc) in enumerate(rel)]
             chain.append((fill, t, others, others_x))
-    # The unknown pixels in x and in the filled mask, where each row above
-    # adds the 2 * _PAD border columns.
-    pending_x = np.flatnonzero(~known)
-    pending = pending_x // n_cols * (2 * _PAD) + pending_x + _PAD * (width + 1)
+    # The unknown pixels, found while the mask holds them; then it holds
+    # the known ones.
+    np.logical_not(known, out=inside)
+    pending = np.flatnonzero(filled_flat)
+    np.logical_not(inside, out=inside)
     unknown = pending.size
 
     rounds = 0
     while pending.size:
-        todo = np.arange(pending.size)  # entries of pending no pair has filled
-        at = pending  # pending[todo]
-        hits, values = [], []
-        for fill, t, others, others_x in chain:
-            ok = filled_flat[at + others[0]]
-            for d in others[1:]:
-                ok &= filled_flat[at + d]
-            if not ok.any():
-                continue
-            hits.append(todo[ok])
-            at_x = pending_x[hits[-1]]
-            values.append(fill([None if d is None else x_flat[at_x + d] for d in others_x], t))
-            todo = todo[~ok]
-            at = pending[todo]
-        if not hits:
+        # Each chunk of pending moves the entries it fills to its end and
+        # keeps those left, ``n_left`` of them, at its front.
+        chunks = [pending[lo:lo + _CHUNK] for lo in range(0, pending.size, _CHUNK)]
+        n_left = [_fill_chunk(chunk, chain, filled_flat, x_flat, width) for chunk in chunks]
+        if sum(n_left) == pending.size:
             break
-        done = np.concatenate(hits)
-        x_flat[pending_x[done]] = np.concatenate(values)
-        filled_flat[pending[done]] = True
-        pending, pending_x = pending[todo], pending_x[todo]
+        kept = 0
+        for chunk, n in zip(chunks, n_left):
+            filled_flat[chunk[n:]] = True
+            pending[kept:kept + n] = chunk[:n]
+            kept += n
+        pending = pending[:kept]
         rounds += 1
     unreachable = int(pending.size)
     return x, rounds, unknown - unreachable, unreachable
+
+
+def _fill_chunk(chunk, chain, filled_flat, x_flat, width) -> int:
+    """Fill what the priority chain can of the pending pixels ``chunk``
+    (flat indices into the filled mask, of row width ``width``), writing
+    the values into ``x_flat`` at once; reorder ``chunk`` to hold the pixels
+    left first, then those filled, and return how many are left."""
+    n_cols = width - 2 * _PAD
+    left, hits = chunk, []
+    for fill, t, others, others_x in chain:
+        ok = filled_flat[left + others[0]]
+        for d in others[1:]:
+            ok &= filled_flat[left + d]
+        if not ok.any():
+            continue
+        hit = left[ok]
+        hits.append(hit)
+        # The index in x: less 2 * _PAD border columns per row above, n_cols
+        # per row of the top border and _PAD columns to the left.
+        at_x = hit - hit // width * (2 * _PAD) - _PAD * (n_cols + 1)
+        x_flat[at_x] = fill([None if d is None else x_flat[at_x + d] for d in others_x], t)
+        left = left[~ok]
+    if hits:
+        chunk[left.size:] = np.concatenate(hits)
+        chunk[:left.size] = left
+    return left.size
 
 
 def initialize(f, mask, weights: Weights) -> np.ndarray:

@@ -385,6 +385,22 @@ def _check_problem(x, f, mask, model_kind: str, start: bool = False):
     return x, f, known
 
 
+def _box(known: np.ndarray, noiseless: bool) -> tuple[slice, slice]:
+    """The (row, col) slices of the problem's crop, which holds every
+    stencil that carries energy: in noiseless mode with a pixel unknown,
+    the bounding box of the unknown pixels with a margin of 2, its origin
+    rounded down to a multiple of 6, the lcm of the strides, so that each
+    residue class of the crop is one of the image; else the whole image."""
+    unknown = ~known
+    if not noiseless or not unknown.any():
+        return slice(0, known.shape[0]), slice(0, known.shape[1])
+    box = []
+    for axis, n in enumerate(known.shape):
+        lines = np.flatnonzero(unknown.any(axis=1 - axis)).tolist()
+        box.append(slice(max(lines[0] - 2, 0) // 6 * 6, min(lines[-1] + 3, n)))
+    return tuple(box)
+
+
 def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     """Evaluate the model energy at ``x`` given data ``f``.
 
@@ -395,5 +411,8 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     model, not a soft term, and a violation raises ``ValueError``.
     """
     x, f, known = _check_problem(x, f, mask, model_kind)
-    x = np.ascontiguousarray(x)
+    # Summed on the crop, the groups hold the same stencils in the same
+    # order as on the whole image, so the energy keeps its bits.
+    box = _box(known, model_kind == "noiseless")
+    x, f, known = x[box], f[box], known[box]
     return energy_from_groups(x, f, stencil_groups(x.shape, known, weights, model_kind))

@@ -12,7 +12,7 @@ touches to the data.
 
 In noiseless mode only the stencils that touch an unknown pixel carry
 energy and the known pixels never move, so :func:`run_cppa` solves the
-problem on the crop ``_box`` of the image: the bounding box of the
+problem on the crop ``model._box`` of the image: the bounding box of the
 unknown pixels with a margin of 2, which holds every such stencil.  Its
 origin is rounded down to a multiple of 6, the lcm of the strides, so
 that each residue class of the crop is one of the image and keeps its
@@ -75,7 +75,7 @@ from itertools import groupby
 import numpy as np
 
 from .circle import _LAMBDA0_MAX, _check_number, _wrap_array
-from .model import Weights, _bind, _check_problem, _energy, _scratch, gather, stencil_groups
+from .model import Weights, _bind, _box, _check_problem, _energy, _scratch, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
 
 # Pixels per block of the once-per-sweep wrap: it caps the scratch at 256 KB
@@ -147,19 +147,6 @@ def _phase_shape(shape, stride) -> tuple[int, int]:
     """(H, W) = (ceil(rows / rs), ceil(cols / cs)): the shape to which each
     phase of the stride (rs, cs) of an image of ``shape`` is padded."""
     return -(-shape[0] // stride[0]), -(-shape[1] // stride[1])
-
-
-def _box(known: np.ndarray, noiseless: bool) -> tuple[slice, slice]:
-    """The (row, col) slices of the crop the run solves on, as the module
-    docstring says."""
-    unknown = ~known
-    if not noiseless or not unknown.any():
-        return slice(0, known.shape[0]), slice(0, known.shape[1])
-    box = []
-    for axis, n in enumerate(known.shape):
-        lines = np.flatnonzero(unknown.any(axis=1 - axis)).tolist()
-        box.append(slice(max(lines[0] - 2, 0) // 6 * 6, min(lines[-1] + 3, n)))
-    return tuple(box)
 
 
 def _bind_run(image: np.ndarray, run, pool: np.ndarray, fixed=None):

@@ -13,6 +13,7 @@ from phasetv import (
     wrap,
 )
 
+import phasetv.circle as circle_mod
 from phasetv.circle import _near_wrap, _signed_wrap, _wrap_array
 
 from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
@@ -171,6 +172,25 @@ def test_dist_of_far_apart_operands_does_not_overflow():
         assert 0.0 <= dist(p, q) <= np.pi
     got = dist(np.array([1e308, 0.5]), np.array([-1e308, 0.25]))
     assert np.array_equal(got, [dist(1e308, -1e308), 0.25])
+
+
+def test_dist_block_by_block_matches_each_entry(monkeypatch):
+    # dist works through its flat result in blocks.  Blocks of 7 entries,
+    # the last one partial, on same-shape, broadcast and 0-d operands give
+    # the bits of dist on each entry alone.
+    monkeypatch.setattr(circle_mod, "_DIST_BLOCK", 7)
+    rng = np.random.default_rng(3)
+    big = np.finfo(float).max
+    col = rng.uniform(-10.0, 10.0, (9, 1))
+    row = np.concatenate([rng.uniform(-10.0, 10.0, 4), [np.pi, -np.pi, big, -big]])
+    square = rng.uniform(-4.0, 4.0, (5, 8))
+    for p, q in ((col, row), (row, col), (square, square.T[::-1].T), (square, 0.5),
+                 (np.float64(3.5), square), (col, 1e308)):
+        got = dist(p, q)
+        pp, qq = np.broadcast_arrays(p, q)
+        want = [dist(float(a), float(b)) for a, b in zip(pp.flat, qq.flat)]
+        assert got.shape == pp.shape and got.size > 7 and got.size % 7
+        assert np.array_equal(got.reshape(-1).view(np.uint64), np.array(want).view(np.uint64))
 
 
 def test_dist_properties():

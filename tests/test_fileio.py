@@ -37,6 +37,21 @@ def test_phase_file_layout(tmp_path):
     assert len(payload) == 528_392
 
 
+def test_phase_file_is_the_header_and_the_c_order_payload(tmp_path):
+    # write_phase writes the array's buffer after the header; the bytes
+    # are those of the header joined to tobytes() of the C-ordered <f8
+    # array, whatever the layout and dtype of the image.
+    rng = np.random.default_rng(52)
+    x = rng.uniform(-np.pi, np.pi, (7, 5))
+    images = [x, np.asfortranarray(x), x.T, x[::2, ::-1], rng.integers(-3, 4, (4, 6)),
+              np.asfortranarray(rng.integers(-3, 4, (6, 4), dtype=np.int16))]
+    for i, img in enumerate(images):
+        path = tmp_path / f"img{i}.phase"
+        write_phase(path, img)
+        header = b"S1PHASE %d %d\n" % img.shape
+        assert path.read_bytes() == header + np.ascontiguousarray(img, dtype="<f8").tobytes()
+
+
 def test_read_write_read_is_byte_identical(tmp_path):
     rng = np.random.default_rng(51)
     a, b = tmp_path / "a.phase", tmp_path / "b.phase"

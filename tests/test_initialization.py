@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from phasetv import SECOND_DIFF, Weights, dist, gen_atan2, initialize, mask_disc, mask_random, wrap
+import phasetv.initialization as init_mod
 from phasetv.initialization import _propagate
 
 from cyclic_oracle import abs_cyclic_diff
@@ -132,11 +133,15 @@ def test_shape_validation():
         initialize(np.zeros((0, 5)), np.ones((0, 5), bool), W_FIRST)
 
 
-def test_matches_scalar_oracle_bitwise():
-    # Every mix of zero and non-zero weights, on row, column and block
-    # shapes up to 20x20 with known fractions from 0 (all unknown) to 0.9.
-    # Half the images hold multiples of pi/4, which hit the tie of the
-    # middle-pixel fill and the wrap at -pi.
+def _oracle_cases():
+    """(f, known, weights) of the oracle comparisons: every mix of zero and
+    non-zero weights, on row, column and block shapes up to 20x20 with
+    known fractions from 0 (all unknown) to 0.9.  Half the images hold
+    multiples of pi/4, which hit the tie of the middle-pixel fill and the
+    wrap at -pi.  Then rounds long enough that a pair fills pixels after
+    another pair of the same round has filled others: a 48x48 disc under
+    all weights and under each family alone, and a random 20% loss under
+    each family."""
     rng = np.random.default_rng(23)
     shapes = [(1, 1), (1, 20), (20, 1), (2, 2), (3, 7), (20, 20)]
     for subset in range(1, 2**7):
@@ -152,25 +157,37 @@ def test_matches_scalar_oracle_bitwise():
                 f = rng.uniform(-np.pi, np.pi, shape)
             else:
                 f = rng.integers(-4, 4, shape) * (np.pi / 4)
-            known = rng.random(shape) < rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9])
-            got, *counts = _propagate(f, known, w)
-            want, *want_counts = oracle_initialize(f, known, w)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-            assert counts == want_counts
-    # Rounds long enough that a pair fills pixels after another pair of the
-    # same round has filled others: a 48x48 disc under all weights and
-    # under each family alone, and a random 20% loss under each family.
+            yield f, rng.random(shape) < rng.choice([0.0, 0.1, 0.3, 0.5, 0.7, 0.9]), w
     f = gen_atan2(48)
     disc, lost = mask_disc((48, 48), 14.0), mask_random((48, 48), 0.2, 3)
-    cases = [(disc, Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0))]
+    yield np.where(disc, f, 0.0), disc, Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
     for one in np.eye(7):
         w = Weights(alpha=one[:4], beta=one[4:6], gamma=one[6])
-        cases += [(disc, w), (lost, w)]
-    for known, w in cases:
-        got, *counts = _propagate(np.where(known, f, 0.0), known, w)
-        want, *want_counts = oracle_initialize(np.where(known, f, 0.0), known, w)
+        for known in (disc, lost):
+            yield np.where(known, f, 0.0), known, w
+
+
+def test_matches_scalar_oracle_bitwise():
+    for f, known, w in _oracle_cases():
+        got, *counts = _propagate(f, known, w)
+        want, *want_counts = oracle_initialize(f, known, w)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert counts == want_counts
+
+
+def test_chunks_of_pending_do_not_change_the_fills(monkeypatch):
+    # A round walks its pending pixels in chunks: fills are written at
+    # once, the filled mask only at the round's end.  Chunks of 1, 3 and
+    # 64 pixels split the rounds of the 48x48 cases into many chunks, with
+    # a partial one last, and must give the oracle's bits.
+    cases = [(f, known, w, oracle_initialize(f, known, w)) for f, known, w in _oracle_cases()]
+    assert max(int(np.count_nonzero(~known)) for _, known, _, _ in cases) > 3 * 64
+    for chunk in (1, 3, 64):
+        monkeypatch.setattr(init_mod, "_CHUNK", chunk)
+        for f, known, w, (want, *want_counts) in cases:
+            got, *counts = _propagate(f, known, w)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (chunk, f.shape)
+            assert counts == want_counts
 
 
 def test_counts_all_unknown_unreachable():

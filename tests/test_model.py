@@ -20,6 +20,7 @@ from phasetv import (
     mask_subsample3,
     wrap,
 )
+import phasetv.model as model_mod
 from phasetv.model import gather, stencil_groups
 
 from cyclic_oracle import abs_cyclic_diff, scatter
@@ -339,6 +340,40 @@ def test_energy_matches_stencil_by_stencil_sum():
                                    for p in pix)
         assert _close(energy(x, f, known, w, kind), want), (shape, kind)
     assert all(count > 0 for count in seen.values()), seen
+
+
+def test_energy_on_the_crop_matches_the_whole_image_groups():
+    # energy() sums the groups of the hole's crop.  They must hold every
+    # stencil that touches an unknown pixel, in the order of the whole
+    # image's groups, so the energy is that of energy_from_groups over the
+    # whole image's groups bit for bit: holes against every edge and
+    # corner (the crop clamps there), holes whose first unknown row and
+    # col are 0-7 (the origin's rounding), two far-apart holes, random
+    # loss, and each weight subset of the random draws.
+    rng = np.random.default_rng(47)
+    crops = 0
+    for shape in ((23, 26), (30, 19), (17, 33)):
+        n_rows, n_cols = shape
+        holes = [[(rows, cols)] for rows in (slice(0, 4), slice(9, 13), slice(n_rows - 4, None))
+                 for cols in (slice(0, 5), slice(10, 14), slice(n_cols - 5, None))]
+        holes += [[(slice(s, s + 4), slice(t, t + 3))] for s, t in zip(range(8), (3, 7, 0, 5, 2, 6, 1, 4))]
+        holes.append([(slice(1, 3), slice(2, 4)), (slice(-3, -1), slice(-4, -2))])
+        masks = []
+        for hole in holes:
+            known = np.ones(shape, bool)
+            for rows, cols in hole:
+                known[rows, cols] = False
+            masks.append(known)
+        masks += [rng.random(shape) >= p for p in (0.05, 0.3)]
+        for known in masks:
+            x, f, _, w = _random_case(rng, shape, "noiseless")
+            x = np.where(known, f, x)
+            for weights in (w, ALL_ON):
+                whole = energy_from_groups(x, f, stencil_groups(shape, known, weights, "noiseless"))
+                got = energy(x, f, known, weights, "noiseless")
+                assert np.float64(got).view(np.uint64) == np.float64(whole).view(np.uint64), shape
+            crops += f[model_mod._box(known, True)].shape != shape
+    assert crops > 50
 
 
 def test_energy_from_groups_non_finite_gives_nan_silently():
