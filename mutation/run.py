@@ -4,10 +4,13 @@ Each mutant is an exact text replacement in one file under ``src/``: ``old``
 must occur exactly once in ``file`` and is replaced by ``new``.  For each
 mutant the runner copies ``src/``, ``tests/`` and ``pyproject.toml`` to a
 fresh temporary directory, applies the replacement there and runs pytest on
-the mutant's ``tests`` only (files or node ids).  The mutant is killed when
-those tests fail; a surviving mutant is a gap in the tests, to be mended by
-a test, not by deleting the mutant.  Before the mutants, the unmutated copy
-must pass every named test, or no kill would mean anything.
+the mutant's ``tests`` only (files or node ids), with a fixed Hypothesis
+seed so that a property draws the same examples on every run and the
+verdict does not change from run to run.  The mutant is killed when those
+tests fail; a surviving mutant is a gap in the tests, to be mended by a
+test, not by deleting the mutant.  Before the mutants, the unmutated copy
+must pass every named test, or no kill would mean anything.  Each
+mutant's line gives its verdict and the wall time of its pytest.
 
 Usage, from anywhere (exit status 1 if a mutant survives or a test errs):
 
@@ -23,6 +26,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -39,7 +43,8 @@ def _copy_tree(dest: Path) -> None:
 def _pytest(tree: Path, tests) -> int:
     """pytest's exit status on ``tests`` in ``tree``, its sources first on the path."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", *tests]
     return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
 
 
@@ -74,11 +79,13 @@ def main(argv: list[str]) -> int:
             tree = Path(tmp) / f"m{i}"
             _copy_tree(tree)
             (tree / m["file"]).write_text(_mutated(tree, m))
+            start = time.perf_counter()
             status = _pytest(tree, m["tests"])
+            seconds = time.perf_counter() - start
             shutil.rmtree(tree)
             # 1: tests failed; 2: collection failed, as an import of the mutant may.
             verdict = {0: "SURVIVED", 1: "killed", 2: "killed"}.get(status, f"pytest exit {status}")
-            print(f"{verdict:>9}  {m['id']}  ({m['file']})", flush=True)
+            print(f"{verdict:>9}  {seconds:6.1f} s  {m['id']}  ({m['file']})", flush=True)
             if status == 0:
                 survivors.append(m["id"])
             elif status not in (1, 2):

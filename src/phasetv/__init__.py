@@ -7,7 +7,6 @@ mappings.
 """
 
 from .circle import (
-    FILTERS,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -26,7 +25,6 @@ from .fileio import (
 )
 from .initialization import initialize
 from .model import (
-    DATA_LABEL,
     Weights,
     energy,
     energy_from_groups,
@@ -55,9 +53,7 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DATA_LABEL",
     "DifferenceFilter",
-    "FILTERS",
     "FIRST_DIFF",
     "FormatError",
     "MIXED_DIFF",

@@ -80,8 +80,6 @@ FIRST_DIFF = DifferenceFilter((-1.0, 1.0), "first")
 SECOND_DIFF = DifferenceFilter((1.0, -2.0, 1.0), "second")
 MIXED_DIFF = DifferenceFilter((-1.0, 1.0, 1.0, -1.0), "mixed")
 
-FILTERS = (FIRST_DIFF, SECOND_DIFF, MIXED_DIFF)
-
 
 def _signed_wrap(t, out=None, tmp=None, half=0.5) -> np.ndarray:
     """``t - 2*pi*floor(t / (2*pi) + half)`` in five passes, without a clamp.

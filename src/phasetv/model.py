@@ -173,23 +173,19 @@ class StencilGroup:
         """Index form: per stencil position, the flat indices of the
         group's pixels in stencil order; with ``where`` (a boolean image),
         only those of pixels where it is True."""
-        if self.index is None:
+        lead = self.index
+        if lead is None:
             held = np.ones(self.shape, dtype=bool) if self.keep is None else self.keep
-            return [_window_ids(w, held if where is None else held & where[w], self.image_shape[1])
-                    for w in self.windows]
-        ids = [self.index + o for o in self.offsets]
+            lead = _window_ids(self.windows[0], held, self.image_shape[1])
+        ids = [lead + o for o in self.offsets]
         if where is None:
             return ids
         where = where.reshape(-1)
         return [c[where[c]] for c in ids]
 
 
-# The least share of its lattice a group needs for the dense form.
-# run_cppa at 256^2 on the hole's crop, index -> dense form (shares), 100
-# sweeps, 2 vCPUs: disc r=64 (.72-.76) 56 -> 42 ms, 50% loss (.75-.94)
-# 230 -> 147 ms, 20% loss (.36-.59) 144 -> 162 ms, 5% loss (.10-.19) 56 ->
-# 170 ms.  A threshold of 0.55 timed the same as 0.65 within noise at
-# 20-35% loss.
+# The least share of its lattice a group needs for the dense form, a
+# measured break-even: the README's Performance section gives the timings.
 _DENSE = 0.65
 
 
@@ -306,12 +302,14 @@ def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]
 
 def _scratch(groups, longest=0) -> list[np.ndarray]:
     """Buffers for one group step or energy term of any of ``groups``: a
-    column per stencil position of the groups that gather (index forms, and
-    the data term with its reference), as long as the longest of them, plus
-    two as long as any group (a dense form: its lattice) or ``longest``."""
+    column per stencil position of the groups that gather (index forms and
+    the data term) and, last, one for the data term's reference, as long as
+    the longest of them, plus two as long as any group (a dense form: its
+    lattice) or ``longest``."""
     gathered = [g for g in groups if g.index is not None or g.filt is None]
     width = max(map(len, gathered), default=0)
-    arity = max((2 if g.filt is None else g.filt.arity for g in gathered), default=0)
+    arity = max((1 if g.filt is None else g.filt.arity for g in gathered), default=0)
+    arity += any(g.filt is None for g in groups)
     longest = max([longest, *(len(g) if g.keep is None else g.keep.size for g in groups)])
     return [np.empty(width) for _ in range(arity)] + [np.empty(longest), np.empty(longest)]
 
@@ -321,10 +319,8 @@ def energy_from_groups(x, f, groups) -> float:
 
     A difference group adds ``weight * sum |wrap(<v, taps>)|`` over its
     stencils, the data term ``sum dist(v, f)^2`` over its pixels, with
-    ``v`` read from ``x`` and the reference from ``f``.  A whole lattice or
-    dense form takes its tap sums straight from the windows of ``x``; an
-    index form and the data term are gathered first.  Either way the tap
-    sums fill one buffer in stencil order, so all forms give the same bits.
+    ``v`` read from ``x`` and the reference from ``f``.  Every group form
+    gives the same bits: its tap sums fill one buffer in stencil order.
 
     ``groups`` is a list of :class:`StencilGroup` as :func:`stencil_groups`
     builds it (empty: 0), ``x`` and ``f`` real images of their image shape,
@@ -344,7 +340,7 @@ def energy_from_groups(x, f, groups) -> float:
 
 def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float:
     """:func:`energy_from_groups` unchecked, with ``scratch`` from ``_scratch(groups)``
-    and, optionally, the data term's reference ``f_data = gather(f, data_group)[0]``."""
+    and, optionally, the data term's reference ``f_data``, gathered from ``f``."""
     *columns, theta_buf, tmp_buf = scratch
     total = 0
     with np.errstate(invalid="ignore"):
@@ -353,19 +349,17 @@ def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float
             theta, tmp = theta_buf[:n], tmp_buf[:n]
             if g.filt is None:
                 if f_data is None:
-                    f_data = gather(f, g, columns[1:])[0]
+                    f_data = gather(f, g, columns[-1:])[0]
                 np.subtract(gather(x, g, columns)[0], f_data, out=theta)
                 total += float(np.sum(np.square(_near_wrap(theta, tmp), out=theta)))
                 continue
             if g.index is not None:
                 _tap_sum(gather(x, g, columns), theta)
-            elif g.keep is None:
-                _tap_sum([x[w] for w in g.windows], theta.reshape(g.shape))
             else:
-                # Those of the whole lattice, compressed to the kept stencils.
-                whole = tmp_buf[:g.keep.size]
-                _tap_sum([x[w] for w in g.windows], whole.reshape(g.shape))
-                np.compress(g.keep.reshape(-1), whole, out=theta)
+                sums = theta if g.keep is None else tmp_buf[:g.keep.size]
+                _tap_sum([x[w] for w in g.windows], sums.reshape(g.shape))
+                if g.keep is not None:
+                    np.compress(g.keep.reshape(-1), sums, out=theta)
             total += g.weight * float(np.sum(np.abs(_near_wrap(theta, tmp), out=theta)))
     return total
 

@@ -150,13 +150,10 @@ def _phase_shape(shape, stride) -> tuple[int, int]:
 
 
 def _bind_run(image: np.ndarray, run, pool: np.ndarray, fixed=None):
-    """:func:`phasetv.model._bind` for a run of lattice difference groups of
-    one stride: one ``(cols, loads, stores)`` per group, bound on the phases
-    of ``image`` laid out in ``pool`` as the module docstring says; ``pool``
-    must be that long and finite.  The first group's loads begin by copying
-    the phases in, and the last group's stores end by copying them back.
-    With ``fixed``, a (mask, values) pair of images, the last store of each
-    group resets the phases' pixels where the mask is True to the values.
+    """:func:`phasetv.model._bind`, ``fixed`` included, for a run of lattice
+    difference groups of one stride: one ``(cols, loads, stores)`` per
+    group, bound on the phases of ``image`` in ``pool`` as the module
+    docstring lays them out; ``pool`` must be that long and finite.
     """
     rs, cs = stride = _stride(run[0])
     H, W = _phase_shape(image.shape, stride)
@@ -235,19 +232,13 @@ def run_cppa(
     # The data term, if any, is the last group; it steps after the wrap.
     live = [g for g in groups if len(g)]
     data = live.pop() if live and live[-1].filt is None else None
-    # Consecutive whole and dense lattice groups of one stride form a run
-    # on their phases.  The runs share one pool, and their columns are no
-    # longer than a phase.
+    # The runs share one pool, and their columns are no longer than a phase.
     shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
     pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
     scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))
     *columns, theta_buf, step_buf = scratch
     # Each group step holds its columns, the copies between them and x2d,
-    # and its scratch, all cut to its column length.  A run steps on its
-    # phases in ``pool``, loaded before its first step and stored after its
-    # last; any other group on its own columns.  The projection resets
-    # known pixels to f: those the group touches, or in a run every one of
-    # the run's phases.
+    # and its scratch, all cut to its column length.
     fixed = (known, f) if noiseless else None
     steps = []
     for stride, run in groupby(live, _stride):
@@ -272,11 +263,12 @@ def run_cppa(
 
     steps.append((0.0, wrap_iterate, (), ()))
     # The data term's weight is 2, as its closed form weighs the fidelity
-    # without the usual 1/2; the energy reads its data as well.
+    # without the usual 1/2.  Its reference, which the energy reads as well,
+    # takes the last gather column, which no group step uses.
     f_data = None
     if data is not None:
         cols, loads, stores = _bind(x2d, data, columns)
-        f_data = gather(f, data)[0]
+        f_data = gather(f, data, columns[-1:])[0]
         n = f_data.size
         kernel = partial(_prox_data_into, cols[0], f_data, a=theta_buf[:n], b=step_buf[:n])
         steps.append((2.0, kernel, loads, stores))

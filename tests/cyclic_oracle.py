@@ -10,7 +10,8 @@ and ``oracle_prox_diff`` (grid search) are independent references, and
 ``oracle_prox_data`` is the data prox in its first, allocating form,
 against which the library's in-place kernel is checked bit for bit.
 ``scatter``, the inverse of ``model.gather``, writes a group's columns
-back to an image for the per-group reference sweeps.
+back to an image for the per-group reference sweeps.  ``FILTERS`` lists
+the three difference filters.
 """
 
 from __future__ import annotations
@@ -18,9 +19,20 @@ from __future__ import annotations
 import numpy as np
 
 from phasetv import dist
-from phasetv.circle import TWO_PI, DifferenceFilter, _signed_wrap, _tap_sum, _wrap_array
+from phasetv.circle import (
+    FIRST_DIFF,
+    MIXED_DIFF,
+    SECOND_DIFF,
+    TWO_PI,
+    DifferenceFilter,
+    _signed_wrap,
+    _tap_sum,
+    _wrap_array,
+)
 from phasetv.model import StencilGroup, _bind
 from phasetv.prox import shrink_columns
+
+FILTERS = (FIRST_DIFF, SECOND_DIFF, MIXED_DIFF)
 
 
 def _check_patch(x, filt: DifferenceFilter) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from phasetv.circle import (
-    FILTERS,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -37,6 +36,7 @@ from phasetv.synth import (
 )
 
 from cyclic_oracle import (
+    FILTERS,
     abs_cyclic_diff,
     oracle_cyclic_diff,
     oracle_prox_diff,

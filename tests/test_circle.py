@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phasetv import (
-    FILTERS,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -16,7 +15,7 @@ from phasetv import (
 import phasetv.circle as circle_mod
 from phasetv.circle import _near_wrap, _signed_wrap, _wrap_array
 
-from cyclic_oracle import abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
+from cyclic_oracle import FILTERS, abs_cyclic_diff, oracle_cyclic_diff, signed_cyclic_diff
 
 TWO_PI = 2.0 * np.pi
 

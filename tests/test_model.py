@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from phasetv import (
-    DATA_LABEL,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -21,7 +20,7 @@ from phasetv import (
     wrap,
 )
 import phasetv.model as model_mod
-from phasetv.model import gather, stencil_groups
+from phasetv.model import DATA_LABEL, gather, stencil_groups
 
 from cyclic_oracle import abs_cyclic_diff, scatter
 

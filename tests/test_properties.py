@@ -214,3 +214,50 @@ def test_noiseless_restoration_commutes_with_a_global_phase_shift(problem, c, la
     g = wrap(f + c)
     shifted = run_cppa(g, g, known, w, "noiseless", cfg)
     assert np.max(dist(shifted.image, wrap(rep.image + c))) <= 1e-14
+
+
+@st.composite
+def _energy_problems(draw, side=12):
+    """``(x, f, known, weights, kind)`` with canonical angles of up to
+    ``side`` x ``side`` pixels, ``x`` carrying ``f`` on the known pixels in
+    noiseless mode, and weights of wide range, one of them positive."""
+    shape = (draw(st.integers(1, side)), draw(st.integers(1, side)))
+    known = draw(_masks(shape))
+    images = st.lists(_canonical, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1])
+    f, x = (np.reshape(draw(images), shape) for _ in range(2))
+    kind = draw(st.sampled_from(["noiseless", "noisy"]))
+    if kind == "noiseless":
+        x = np.where(known, f, x)
+    w7 = draw(st.lists(_wide_weights, min_size=7, max_size=7))
+    if not any(w7):
+        w7[draw(st.integers(0, 6))] = 1.0
+    return x, f, known, Weights(alpha=tuple(w7[:4]), beta=tuple(w7[4:6]), gamma=w7[6]), kind
+
+
+@settings(max_examples=200, deadline=None)
+@given(problem=_energy_problems(), transpose=st.booleans(), flip_rows=st.booleans(),
+       flip_cols=st.booleans())
+def test_energy_is_invariant_under_the_dihedral_maps(problem, transpose, flip_rows, flip_cols):
+    # The 8 maps of the square, as a transpose followed by flips.  A
+    # transpose swaps the horizontal and vertical families (alpha1 and
+    # alpha2, beta1 and beta2); one flip swaps the two diagonals (alpha3
+    # and alpha4), two flips map each onto itself.  The stencils are summed
+    # in another order and the taps of a reversed stencil too, so the
+    # energy moves by rounding only: at most 5.2e-16 of itself over three
+    # sets of 4000 drawn cases (a zero energy stayed 0 exactly), so the
+    # bound is 2e-15.
+    x, f, known, w, kind = problem
+    a1, a2, a3, a4 = w.alpha
+    b1, b2 = w.beta
+    if transpose:
+        a1, a2, b1, b2 = a2, a1, b2, b1
+    if flip_rows != flip_cols:
+        a3, a4 = a4, a3
+    mapped = Weights(alpha=(a1, a2, a3, a4), beta=(b1, b2), gamma=w.gamma)
+
+    def act(a):
+        a = a.T if transpose else a
+        return a[::-1 if flip_rows else 1, ::-1 if flip_cols else 1]
+
+    base = energy(x, f, known, w, kind)
+    assert abs(energy(act(x), act(f), act(known), mapped, kind) - base) <= 2e-15 * base

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from phasetv import (
-    FILTERS,
     FIRST_DIFF,
     MIXED_DIFF,
     SECOND_DIFF,
@@ -17,6 +16,7 @@ from phasetv import prox
 from phasetv.prox import _prox_data_into, _prox_step, shrink_columns
 
 from cyclic_oracle import (
+    FILTERS,
     abs_cyclic_diff,
     oracle_prox_data,
     oracle_prox_diff,
