@@ -256,43 +256,37 @@ def stencil_groups(shape, mask, weights: Weights, model_kind: str) -> list[Stenc
 enumerate_stencils = stencil_groups
 
 
-def _bind(image: np.ndarray, group: StencilGroup, out=None, fixed=None):
-    """``(cols, loads, stores)``: the group's columns and the copies
-    between them and the 2-D ``image``, bound once for many calls.
-
-    ``cols`` are the leading parts of the buffers in ``out`` (fresh ones
-    when None), one per stencil position.  Each of ``loads`` copies one
+def _bind(image: np.ndarray, group: StencilGroup, out, fixed=None):
+    """``(cols, loads, stores)``: the columns of a whole lattice or an
+    index form and the copies between them and the 2-D ``image``, bound
+    once for many calls: ``cols`` are the leading parts of the buffers in
+    ``out``, one per stencil position.  Each of ``loads`` copies one
     position's pixels into its column, in stencil order; each of
     ``stores`` copies a column back into the C-contiguous ``image``.  With
     ``fixed``, a (mask, values) pair of images, the last store resets the
     group's pixels where the mask is True to the values.
     """
     n = len(group)
-    if out is None:
-        out = [np.empty(n) for _ in group.windows]
     cols = [b[:n] for b, _ in zip(out, group.windows)]
-    if group.index is None and group.keep is None:
+    if group.index is None:
         pairs = [(image[w], c.reshape(group.shape)) for w, c in zip(group.windows, cols)]
         loads = [partial(np.copyto, c, v) for v, c in pairs]
         stores = [partial(np.copyto, v, c) for v, c in pairs]
     else:
-        # Index form (a dense form is turned into it): position j reads the
-        # one index through the image shifted by its offset.
-        index = group.flat_index()[0] if group.index is None else group.index
+        # Position j reads the one index through the image shifted by its offset.
         views = [image.reshape(-1)[o:] for o in group.offsets]
-        loads = [partial(v.take, index, out=c, mode="clip") for v, c in zip(views, cols)]
-        stores = [partial(v.__setitem__, index, c) for v, c in zip(views, cols)]
+        loads = [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)]
+        stores = [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)]
     if fixed is not None:
         touched = np.concatenate(group.flat_index(fixed[0]))
         stores.append(partial(image.reshape(-1).__setitem__, touched, fixed[1].flat[touched]))
     return cols, loads, stores
 
 
-def gather(image: np.ndarray, group: StencilGroup, out=None) -> list[np.ndarray]:
-    """The group's values in the 2-D ``image``, one contiguous array per
-    stencil position, in stencil order.  ``out`` optionally holds one
-    buffer per position, of at least the group's length; the returned
-    arrays are their leading parts.
+def gather(image: np.ndarray, group: StencilGroup, out) -> list[np.ndarray]:
+    """The values of a whole lattice or an index form in the 2-D
+    ``image``, in stencil order: the leading parts of the buffers in
+    ``out``, one per stencil position, of at least the group's length.
     """
     cols, loads, _ = _bind(image, group, out)
     for load in loads:
@@ -408,5 +402,6 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     # Summed on the crop, the groups hold the same stencils in the same
     # order as on the whole image, so the energy keeps its bits.
     box = _box(known, model_kind == "noiseless")
-    x, f, known = x[box], f[box], known[box]
-    return energy_from_groups(x, f, stencil_groups(x.shape, known, weights, model_kind))
+    x, f = np.ascontiguousarray(x[box]), f[box]
+    groups = stencil_groups(x.shape, known[box], weights, model_kind)
+    return _energy(x, f, groups, _scratch(groups))

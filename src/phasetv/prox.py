@@ -34,15 +34,14 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     return theta, step
 
 
-def _apply_step(cols, step, filt: DifferenceFilter, tmp=None) -> None:
+def _apply_step(cols, step, filt: DifferenceFilter, tmp) -> None:
     """Overwrite each column ``v_j`` with ``v_j - step * taps_j``, unwrapped.
 
     The taps are +-1 and -2, so ``v + step``, ``v - step`` and
     ``v + 2*step`` are the exact values of ``v - step * tap``.  The output
     is not reduced to [-pi, pi): it is some representative of the prox,
     which is all a further prox step needs, since theta is wrapped and
-    the taps are integers.  ``tmp`` is an optional scratch array of the
-    column length.
+    the taps are integers.  ``tmp`` is scratch of the column length.
     """
     for v, tap in zip(cols, filt.taps):
         if tap == 1.0:

@@ -62,6 +62,9 @@ In the 64x64 atan2 disc of radius 16 (alpha 0.5, beta and gamma 0.25),
 from the initializer, the diagonal pair (31, 31), (32, 32) has theta one
 ulp past -pi at its first step and one ulp below +pi after a global
 phase shift; after 200 sweeps the two runs differ by up to 0.37 rad.
+A transpose or flip of the problem, with the weights permuted to match,
+reorders the cycle, and another order may settle in another minimum: 30
+sweeps on drawn problems of up to 12x12 ended up to 94% apart in energy.
 """
 
 from __future__ import annotations
@@ -77,11 +80,6 @@ import numpy as np
 from .circle import _LAMBDA0_MAX, _check_number, _wrap_array
 from .model import Weights, _bind, _box, _check_problem, _energy, _scratch, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
-
-# Pixels per block of the once-per-sweep wrap: it caps the scratch at 256 KB
-# (2 MB for a whole 512^2 image).  It buys no speed: on 262,144 pixels the whole
-# image and blocks of 16k-131k took 179-231 us per wrap, 8k or less 254-364 us.
-_WRAP_BLOCK = 1 << 15
 
 
 class NumericalError(RuntimeError):
@@ -252,16 +250,17 @@ def run_cppa(
             kernel = partial(shrink_columns, cols, filt=g.filt, theta_buf=theta_buf[:n],
                              step_buf=step_buf[:n])
             steps.append((g.weight, kernel, loads, stores))
-    wrap_tmp = np.empty(min(x.size, _WRAP_BLOCK))
 
     def wrap_iterate(_):
-        # Block by block, so that the scratch stays small.  The wrap keeps
-        # the known pixels, which hold f, bit for bit.
-        for lo in range(0, x.size, wrap_tmp.size):
-            block = x[lo:lo + wrap_tmp.size]
-            _wrap_array(block, out=block, tmp=wrap_tmp[:block.size])
+        # In blocks of the step scratch, which no step holds between steps.
+        # The wrap keeps the known pixels, which hold f, bit for bit.
+        for lo in range(0, x.size, step_buf.size):
+            block = x[lo:lo + step_buf.size]
+            _wrap_array(block, out=block, tmp=step_buf[:block.size])
 
-    steps.append((0.0, wrap_iterate, (), ()))
+    # An empty scratch means no group is live: x is x0, already wrapped.
+    if step_buf.size:
+        steps.append((0.0, wrap_iterate, (), ()))
     # The data term's weight is 2, as its closed form weighs the fidelity
     # without the usual 1/2.  Its reference, which the energy reads as well,
     # takes the last gather column, which no group step uses.

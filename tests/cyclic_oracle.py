@@ -9,9 +9,11 @@ sweep runs.  ``oracle_cyclic_diff`` (enumeration over base-point shifts)
 and ``oracle_prox_diff`` (grid search) are independent references, and
 ``oracle_prox_data`` is the data prox in its first, allocating form,
 against which the library's in-place kernel is checked bit for bit.
-``scatter``, the inverse of ``model.gather``, writes a group's columns
-back to an image for the per-group reference sweeps.  ``FILTERS`` lists
-the three difference filters.
+``gather`` reads a group of any form from an image through
+``StencilGroup.flat_index``, as ``model.gather`` reads the forms the
+library binds, and ``scatter``, its inverse, writes the columns back, for
+the per-group reference sweeps.  ``FILTERS`` lists the three difference
+filters.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from phasetv.circle import (
     _tap_sum,
     _wrap_array,
 )
-from phasetv.model import StencilGroup, _bind
+from phasetv.model import StencilGroup
 from phasetv.prox import shrink_columns
 
 FILTERS = (FIRST_DIFF, SECOND_DIFF, MIXED_DIFF)
@@ -178,8 +180,14 @@ def oracle_prox_data(g, f, lam: float):
     return out
 
 
+def gather(image: np.ndarray, group: StencilGroup) -> list[np.ndarray]:
+    """The group's values in the 2-D ``image``, one new array per stencil
+    position, in stencil order, for a group of any form."""
+    return [image.flat[c] for c in group.flat_index()]
+
+
 def scatter(image: np.ndarray, group: StencilGroup, vals) -> None:
-    """Write ``vals``, as ``model.gather`` returns them, back to the group's
-    pixels of the C-contiguous 2-D ``image``."""
-    for store in _bind(image, group, vals)[2]:
-        store()
+    """Write ``vals``, as :func:`gather` returns them, back to the group's
+    pixels of the 2-D ``image``."""
+    for c, v in zip(group.flat_index(), vals):
+        image.flat[c] = v
