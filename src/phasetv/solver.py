@@ -233,34 +233,38 @@ def run_cppa(
     # The runs share one pool, and their columns are no longer than a phase.
     shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
     pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
-    scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))
-    *columns, theta_buf, step_buf = scratch
-    # Each group step holds its columns, the copies between them and x2d,
-    # and its scratch, all cut to its column length.
+    # Its last buffer, the step scratch, is made after the binds below.
+    scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))[:-1]
+    *columns, theta_buf = scratch
     fixed = (known, f) if noiseless else None
-    steps = []
+    bound = []
     for stride, run in groupby(live, _stride):
         run = list(run)
         if stride is None:
-            bound = [_bind(x2d, g, columns, fixed) for g in run]
+            bound += [_bind(x2d, g, columns, fixed) for g in run]
         else:
-            bound = _bind_run(x2d, run, pool, fixed)
-        for g, (cols, loads, stores) in zip(run, bound):
-            n = cols[0].size
-            kernel = partial(shrink_columns, cols, filt=g.filt, theta_buf=theta_buf[:n],
-                             step_buf=step_buf[:n])
-            steps.append((g.weight, kernel, loads, stores))
+            bound += _bind_run(x2d, run, pool, fixed)
+    # The binds' temporaries can set the run's peak, so the step scratch
+    # comes after them.  The sweep's wrap runs in blocks of it, which no
+    # step holds between steps, so it is at least 32k pixels long or the
+    # crop: shorter blocks wrap slower.  Each group step holds its columns,
+    # the copies between them and x2d, and its scratch, cut to its length.
+    step_buf = np.empty(max(theta_buf.size, min(x.size, 1 << 15)))
+    scratch.append(step_buf)
+    steps = []
+    for g, (cols, loads, stores) in zip(live, bound):
+        n = cols[0].size
+        kernel = partial(shrink_columns, cols, filt=g.filt, theta_buf=theta_buf[:n],
+                         step_buf=step_buf[:n])
+        steps.append((g.weight, kernel, loads, stores))
 
     def wrap_iterate(_):
-        # In blocks of the step scratch, which no step holds between steps.
         # The wrap keeps the known pixels, which hold f, bit for bit.
         for lo in range(0, x.size, step_buf.size):
             block = x[lo:lo + step_buf.size]
             _wrap_array(block, out=block, tmp=step_buf[:block.size])
 
-    # An empty scratch means no group is live: x is x0, already wrapped.
-    if step_buf.size:
-        steps.append((0.0, wrap_iterate, (), ()))
+    steps.append((0.0, wrap_iterate, (), ()))
     # The data term's weight is 2, as its closed form weighs the fidelity
     # without the usual 1/2.  Its reference, which the energy reads as well,
     # takes the last gather column, which no group step uses.

@@ -77,18 +77,18 @@ def test_noisy_run_cppa_holds_at_most_55_bytes_per_pixel():
     assert _peak(lambda: run_cppa(x0, f, known, w, "noisy", config)) <= 55 * n * n
 
 
-def test_noiseless_run_cppa_on_a_disc_holds_at_most_27_bytes_per_pixel():
-    # Measured 25.9 B/px at 256^2 with a disc of radius 64 unknown, whose
+def test_noiseless_run_cppa_on_a_disc_holds_at_most_28_bytes_per_pixel():
+    # Measured 26.9 B/px at 256^2 with a disc of radius 64 unknown, whose
     # groups step in dense form on the hole's crop: among it the image, 8,
     # and the crop's copy, phase pool and step buffers.  The sweep's wrap
-    # takes its blocks from the step scratch; a private wrap buffer took 28.1.
+    # takes its blocks from the step scratch; a private wrap buffer took 29.1.
     n = 256
     known = mask_disc((n, n), n / 4)
     f = np.where(known, gen_atan2(n), 0.0)
     w = Weights(alpha=(0.5, 0.5, 0.5, 0.5), beta=(0.25, 0.25), gamma=0.25)
     x0 = initialize(f, known, w)
     config = SolverConfig(max_sweeps=2)
-    assert _peak(lambda: run_cppa(x0, f, known, w, "noiseless", config)) <= 27 * n * n
+    assert _peak(lambda: run_cppa(x0, f, known, w, "noiseless", config)) <= 28 * n * n
 
 
 def test_noisy_energy_holds_at_most_36_bytes_per_pixel():
