@@ -130,10 +130,10 @@ class StencilGroup:
     order of their leading pixels.  The group has one of three forms.  A
     whole lattice has ``index`` and ``keep`` None.  In dense form ``keep``,
     a boolean array of shape ``shape``, marks the stencils it holds.  In
-    index form, which wins over ``keep``, ``index`` holds the flat index
-    of each stencil's leading pixel in the C-order image of shape
-    ``image_shape``, and position j lies ``offsets[j]`` further on.  The
-    data term has ``filt = None``, weight 1 and one position.
+    index form ``index`` holds the flat index of each stencil's leading
+    pixel in the C-order image of shape ``image_shape``, and position j
+    lies ``offsets[j]`` further on.  The data term has ``filt = None``,
+    weight 1 and one position.
     """
 
     label: int
@@ -257,26 +257,22 @@ enumerate_stencils = stencil_groups
 
 
 def _bind(image: np.ndarray, group: StencilGroup, out, fixed=None):
-    """``(cols, loads, stores)``: the columns of a whole lattice or an
-    index form and the copies between them and the 2-D ``image``, bound
-    once for many calls: ``cols`` are the leading parts of the buffers in
-    ``out``, one per stencil position.  Each of ``loads`` copies one
-    position's pixels into its column, in stencil order; each of
-    ``stores`` copies a column back into the C-contiguous ``image``.  With
-    ``fixed``, a (mask, values) pair of images, the last store resets the
-    group's pixels where the mask is True to the values.
+    """``(cols, loads, stores)``: the columns of ``group`` in the 2-D ``image``
+    and the copies between them, bound once for many calls.  A lattice
+    form's ``cols`` are its windows, read in place with no copies.  An
+    index form's are the leading parts of the buffers in ``out``, one per
+    stencil position: each of ``loads`` copies one position's pixels into
+    its column, in stencil order, each of ``stores`` a column back into the
+    C-contiguous ``image``, and with ``fixed``, a (mask, values) pair of
+    images, the last resets the pixels where the mask is True to the values.
     """
-    n = len(group)
-    cols = [b[:n] for b, _ in zip(out, group.windows)]
     if group.index is None:
-        pairs = [(image[w], c.reshape(group.shape)) for w, c in zip(group.windows, cols)]
-        loads = [partial(np.copyto, c, v) for v, c in pairs]
-        stores = [partial(np.copyto, v, c) for v, c in pairs]
-    else:
-        # Position j reads the one index through the image shifted by its offset.
-        views = [image.reshape(-1)[o:] for o in group.offsets]
-        loads = [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)]
-        stores = [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)]
+        return [image[w] for w in group.windows], [], []
+    cols = [b[:len(group)] for b, _ in zip(out, group.windows)]
+    # Position j reads the one index through the image shifted by its offset.
+    views = [image.reshape(-1)[o:] for o in group.offsets]
+    loads = [partial(v.take, group.index, out=c, mode="clip") for v, c in zip(views, cols)]
+    stores = [partial(v.__setitem__, group.index, c) for v, c in zip(views, cols)]
     if fixed is not None:
         touched = np.concatenate(group.flat_index(fixed[0]))
         stores.append(partial(image.reshape(-1).__setitem__, touched, fixed[1].flat[touched]))
@@ -284,9 +280,9 @@ def _bind(image: np.ndarray, group: StencilGroup, out, fixed=None):
 
 
 def gather(image: np.ndarray, group: StencilGroup, out) -> list[np.ndarray]:
-    """The values of a whole lattice or an index form in the 2-D
-    ``image``, in stencil order: the leading parts of the buffers in
-    ``out``, one per stencil position, of at least the group's length.
+    """The values of ``group`` in the 2-D ``image``, in stencil order, per
+    stencil position: a lattice form's windows (a dense form reads as its
+    whole lattice), an index form's columns in ``out`` (see :func:`_bind`).
     """
     cols, loads, _ = _bind(image, group, out)
     for load in loads:
@@ -296,14 +292,14 @@ def gather(image: np.ndarray, group: StencilGroup, out) -> list[np.ndarray]:
 
 def _scratch(groups, longest=0) -> list[np.ndarray]:
     """Buffers for one group step or energy term of any of ``groups``: a
-    column per stencil position of the groups that gather (index forms and
-    the data term) and, last, one for the data term's reference, as long as
-    the longest of them, plus two as long as any group (a dense form: its
-    lattice) or ``longest``."""
-    gathered = [g for g in groups if g.index is not None or g.filt is None]
+    column per stencil position of the index forms, the only groups that
+    gather, and, last, one for the data term's reference if it is one, as
+    long as the longest of them, plus two as long as any group (a dense
+    form: its lattice) or ``longest``."""
+    gathered = [g for g in groups if g.index is not None]
     width = max(map(len, gathered), default=0)
     arity = max((1 if g.filt is None else g.filt.arity for g in gathered), default=0)
-    arity += any(g.filt is None for g in groups)
+    arity += any(g.filt is None for g in gathered)
     longest = max([longest, *(len(g) if g.keep is None else g.keep.size for g in groups)])
     return [np.empty(width) for _ in range(arity)] + [np.empty(longest), np.empty(longest)]
 
@@ -341,20 +337,18 @@ def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float
         for g in groups:
             n = len(g)
             theta, tmp = theta_buf[:n], tmp_buf[:n]
+            cols = gather(x, g, columns)
             if g.filt is None:
                 if f_data is None:
                     f_data = gather(f, g, columns[-1:])[0]
-                np.subtract(gather(x, g, columns)[0], f_data, out=theta)
-                total += float(np.sum(np.square(_near_wrap(theta, tmp), out=theta)))
-                continue
-            if g.index is not None:
-                _tap_sum(gather(x, g, columns), theta)
-            else:
-                sums = theta if g.keep is None else tmp_buf[:g.keep.size]
-                _tap_sum([x[w] for w in g.windows], sums.reshape(g.shape))
-                if g.keep is not None:
-                    np.compress(g.keep.reshape(-1), sums, out=theta)
-            total += g.weight * float(np.sum(np.abs(_near_wrap(theta, tmp), out=theta)))
+                # x - f as the first difference of (f, x).
+                cols = [f_data, *cols]
+            sums = theta if g.keep is None else tmp_buf[:g.keep.size]
+            _tap_sum(cols, sums.reshape(cols[0].shape))
+            if g.keep is not None:
+                np.compress(g.keep.reshape(-1), sums, out=theta)
+            power = np.square if g.filt is None else np.abs
+            total += g.weight * float(np.sum(power(_near_wrap(theta, tmp), out=theta)))
     return total
 
 

@@ -205,11 +205,12 @@ def run_cppa(
     ``SolverConfig()``.  An overflowing energy raises
     :class:`NumericalError`.  Returns the final image, the energy
     trace as (sweep, energy) pairs (sweep 0 is the energy of ``x0``), the
-    executed sweep count and the wall time in seconds.  Each energy is
-    that of the image after the sweep's wrap, so the last one is
-    ``energy`` of the returned image bit for bit.  In noiseless mode the
-    known pixels keep the bits of ``f``.
+    executed sweep count and the wall time of the whole call, setup
+    included, in seconds.  Each energy is that of the image after the
+    sweep's wrap, so the last one is ``energy`` of the returned image bit
+    for bit.  In noiseless mode the known pixels keep the bits of ``f``.
     """
+    start = time.perf_counter()
     if config is None:
         config = SolverConfig()
     if not isinstance(config, SolverConfig):
@@ -266,14 +267,16 @@ def run_cppa(
 
     steps.append((0.0, wrap_iterate, (), ()))
     # The data term's weight is 2, as its closed form weighs the fidelity
-    # without the usual 1/2.  Its reference, which the energy reads as well,
-    # takes the last gather column, which no group step uses.
+    # without the usual 1/2.  With every pixel known it steps in place on
+    # x2d; else its reference, which the energy reads as well, takes the
+    # last gather column, which no group step uses.
     f_data = None
     if data is not None:
         cols, loads, stores = _bind(x2d, data, columns)
         f_data = gather(f, data, columns[-1:])[0]
         n = f_data.size
-        kernel = partial(_prox_data_into, cols[0], f_data, a=theta_buf[:n], b=step_buf[:n])
+        a, b = (buf[:n].reshape(f_data.shape) for buf in (theta_buf, step_buf))
+        kernel = partial(_prox_data_into, cols[0], f_data, a=a, b=b)
         steps.append((2.0, kernel, loads, stores))
 
     def record(trace, sweep):
@@ -282,7 +285,6 @@ def run_cppa(
             raise NumericalError(f"energy became non-finite at sweep {sweep}")
         trace.append((sweep, value))
 
-    start = time.perf_counter()
     trace: list[tuple[int, float]] = []
     record(trace, 0)
     for k in range(config.max_sweeps):

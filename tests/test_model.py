@@ -312,7 +312,7 @@ def test_energy_matches_stencil_by_stencil_sum():
     # stencil's coordinates, one patch at a time through the sweep's
     # wrapped inner product, summed in Python.
     rng = np.random.default_rng(43)
-    seen = {"lattice": 0, "dense": 0, "index": 0, "data": 0}
+    seen = {"lattice": 0, "dense": 0, "index": 0, "data": 0, "whole data": 0}
     cases = [(shape, kind, _random_case(rng, shape, kind))
              for shape in _random_shapes(rng, 30) for kind in ("noiseless", "noisy")]
     # A disc that fills most of the image: dense groups.  Two bands that
@@ -323,13 +323,17 @@ def test_energy_matches_stencil_by_stencil_sum():
         x, f, _, w = _random_case(rng, shape, "noiseless")
         cases.append((shape, "noiseless", (np.where(known, f, x), f, known, w)))
         cases.append((shape, "noiseless", (np.where(known, f, x), f, known, ALL_ON)))
+    # Every pixel known: the data term as a whole lattice.
+    for shape in ((20, 20), (7, 11)):
+        x, f, _, w = _random_case(rng, shape, "noisy")
+        cases.append((shape, "noisy", (x, f, np.ones(shape, bool), w)))
     for shape, kind, (x, f, known, w) in cases:
         want = 0.0
         for g in enumerate_stencils(shape, known, w, kind):
             if len(g) == 0:
                 continue
-            seen["data" if g.is_data_term else "index" if g.index is not None else
-                 "lattice" if g.keep is None else "dense"] += 1
+            form = "index" if g.index is not None else "lattice" if g.keep is None else "dense"
+            seen[("data" if form == "index" else "whole data") if g.is_data_term else form] += 1
             pix = g.pixels
             if g.is_data_term:
                 rows, cols = pix[:, 0, 0], pix[:, 0, 1]
@@ -444,17 +448,23 @@ def test_scatter_undoes_gather_on_lattice_and_index_groups():
         "dense": stencil_groups(shape, mask_disc(shape, 7.0), ALL_ON, "noiseless"),
         "index": stencil_groups(shape, mask_random(shape, 0.1, 3), ALL_ON, "noiseless"),
         "data term": stencil_groups(shape, mask_disc(shape, 3.0), ALL_ON, "noisy")[-1:],
+        "whole data term": stencil_groups(shape, np.ones(shape, bool), ALL_ON, "noisy")[-1:],
     }
-    assert all(g.index is None and g.keep is None for g in cases["lattice"])
+    whole = cases["lattice"] + cases["whole data term"]
+    assert all(g.index is None and g.keep is None for g in whole)
     assert all(g.index is None and g.keep is not None for g in cases["dense"])
     assert all(g.index is not None for g in cases["index"] + cases["data term"])
     for name, groups in cases.items():
         for g in groups:
             vals = oracle_gather(x, g)
-            if name != "dense":
-                # The library binds whole lattices and index forms only.
-                buffers = [np.full(len(g) + 3, np.nan) for _ in g.windows]
-                assert all(np.array_equal(a, b) for a, b in zip(gather(x, g, buffers), vals)), \
+            buffers = [np.full(len(g) + 3, np.nan) for _ in g.windows]
+            cols = gather(x, g, buffers)
+            if g.index is None:
+                # A lattice form is read in place, a dense one as its whole lattice.
+                assert all(np.shares_memory(c, x) and np.array_equal(c, x[w])
+                           for c, w in zip(cols, g.windows)), (name, g.label)
+            if g.keep is None:
+                assert all(np.array_equal(c.reshape(-1), v) for c, v in zip(cols, vals)), \
                     (name, g.label)
             y = np.full(shape, np.nan)
             scatter(y, g, vals)

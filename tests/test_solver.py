@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from itertools import groupby
 
 import numpy as np
@@ -223,6 +224,21 @@ def test_energy_trace_recording():
     assert rep.wall_time >= 0
 
 
+def test_wall_time_covers_the_setup(monkeypatch):
+    # The clock starts at the top of run_cppa: a slow stencil_groups, part
+    # of the setup, shows in wall_time.
+    def slow_groups(*args):
+        time.sleep(0.2)
+        return stencil_groups(*args)
+
+    f = gen_wrapped_ramp((8, 8), 0.3)
+    known = mask_band((8, 8), start=3, width=2)
+    w = Weights(alpha=(1, 1, 0, 0))
+    monkeypatch.setattr(solver_mod, "stencil_groups", slow_groups)
+    rep = run_cppa(f, f, known, w, "noiseless", SolverConfig(max_sweeps=1))
+    assert rep.wall_time >= 0.2
+
+
 def test_noisy_mode_moves_known_pixels():
     rng = np.random.default_rng(35)
     clean = np.full((8, 8), 0.3)
@@ -303,7 +319,7 @@ def _index_groups(calls):
 
     def groups(shape, mask, weights, kind):
         calls.append(kind)
-        return [dataclasses.replace(g, index=g.flat_index()[0])
+        return [dataclasses.replace(g, index=g.flat_index()[0], keep=None)
                 for g in stencil_groups(shape, mask, weights, kind)]
 
     return groups
