@@ -61,7 +61,7 @@ class DifferenceFilter:
 
     taps: tuple[float, ...]
     name: str
-    # |taps|^2, computed once: the sweep divides by it on every group step.
+    # |taps|^2, computed once: the sweep scales by it on every group step.
     norm_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):

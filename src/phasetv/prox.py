@@ -25,11 +25,17 @@ def _prox_step(cols, lam: float, filt: DifferenceFilter, theta_out=None, step_ou
     ``v - step * taps``, up to multiples of 2*pi.  Since IEEE division is
     sign-symmetric, the clip gives the bits of
     ``copysign(min(lam, |theta| / |taps|^2), theta)``, -0.0 and the
-    antipodal theta included.
+    antipodal theta included.  Where |taps|^2 is a power of two (2 or 4)
+    theta is scaled by its exact reciprocal instead, which rounds as the
+    division does, -0.0, NaN, +-inf and subnormals included, and costs
+    less.
     """
     theta = _tap_sum(cols, theta_out)
     theta = _signed_wrap(theta, out=theta, tmp=step_out)
-    step = np.divide(theta, filt.norm_sq, out=step_out)
+    if filt.norm_sq in (2.0, 4.0):
+        step = np.multiply(theta, 1.0 / filt.norm_sq, out=step_out)
+    else:
+        step = np.divide(theta, filt.norm_sq, out=step_out)
     step.clip(-lam, lam, out=step)
     return theta, step
 

@@ -3,12 +3,12 @@
 One sweep applies the proximal mapping of every group of
 :func:`phasetv.model.stencil_groups` in label order, with the parameter
 ``lambda_k = lambda0 / (k + 1)``.  Every step of a sweep is bound once, as
-one ``(weight, kernel, loads, stores)`` entry of one list: each difference
-group's prox, then the image wrap (weight 0), then in noisy mode the data
-term's prox (weight 2).  For every entry the sweep runs the loads,
-``kernel(lam * weight)`` and the stores, with no branch.  In noiseless
-mode the last store of a difference step resets the known pixels it
-touches to the data.
+one ``(weight, kernel, loads, stores)`` entry of one list: each block of
+each difference group's prox, then the image wrap (weight 0), then in
+noisy mode the data term's prox (weight 2).  For every entry the sweep
+runs the loads, ``kernel(lam * weight)`` and the stores, with no branch.
+In noiseless mode the last store of a difference group resets the known
+pixels it touches to the data.
 
 In noiseless mode only the stencils that touch an unknown pixel carry
 energy and the known pixels never move, so :func:`run_cppa` solves the
@@ -37,6 +37,16 @@ that touches no unknown pixel moves only known pixels, and they are back
 before any other group reads them.  Each pixel sees the same operations
 in the same order as when every group is stepped on the image in index
 form, so the output is the same bit for bit.
+
+A group's prox makes 10-14 elementwise passes over its columns, which
+hold up to 131k entries each, so it steps them in blocks of at most
+``_BLOCK`` = 2^15 entries, one entry of the list per block: a block's
+columns and scratch stay in a core's L2 cache between passes, where a
+whole group's would stream from memory on every pass.  The group's loads
+(a run's phase loads and row-end saves, an index form's gather) go on its
+first block, and its stores (the row-end restores, the projection, a
+run's copy-out, an index form's scatter) on its last.  The prox of one
+entry reads no other entry, so the blocks keep every bit.
 
 Finite in, finite throughout: :func:`run_cppa` checks that ``x0`` and
 ``f`` hold finite angles, the weights are finite and ``lambda0 <= 1e300``,
@@ -80,6 +90,12 @@ import numpy as np
 from .circle import _LAMBDA0_MAX, _check_number, _wrap_array
 from .model import Weights, _bind, _box, _check_problem, _energy, _scratch, gather, stencil_groups
 from .prox import _prox_data_into, shrink_columns
+
+
+# The most entries of a group one step passes through its kernel: a
+# first-difference block, two columns and two scratch buffers, is 1 MB and
+# fits in a core's L2 cache; smaller blocks pay more in per-call overhead.
+_BLOCK = 1 << 15
 
 
 class NumericalError(RuntimeError):
@@ -247,17 +263,19 @@ def run_cppa(
             bound += _bind_run(x2d, run, pool, fixed)
     # The binds' temporaries can set the run's peak, so the step scratch
     # comes after them.  The sweep's wrap runs in blocks of it, which no
-    # step holds between steps, so it is at least 32k pixels long or the
+    # step holds between steps, so it is at least _BLOCK pixels long or the
     # crop: shorter blocks wrap slower.  Each group step holds its columns,
-    # the copies between them and x2d, and its scratch, cut to its length.
-    step_buf = np.empty(max(theta_buf.size, min(x.size, 1 << 15)))
+    # the copies between them and x2d, and its scratch, cut to its block.
+    step_buf = np.empty(max(theta_buf.size, min(x.size, _BLOCK)))
     scratch.append(step_buf)
     steps = []
     for g, (cols, loads, stores) in zip(live, bound):
         n = cols[0].size
-        kernel = partial(shrink_columns, cols, filt=g.filt, theta_buf=theta_buf[:n],
-                         step_buf=step_buf[:n])
-        steps.append((g.weight, kernel, loads, stores))
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            kernel = partial(shrink_columns, [c[lo:hi] for c in cols], filt=g.filt,
+                             theta_buf=theta_buf[:hi - lo], step_buf=step_buf[:hi - lo])
+            steps.append((g.weight, kernel, loads if lo == 0 else (), stores if hi == n else ()))
 
     def wrap_iterate(_):
         # The wrap keeps the known pixels, which hold f, bit for bit.

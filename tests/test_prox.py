@@ -179,6 +179,8 @@ def test_step_matches_four_pass_formula_bitwise(filt, monkeypatch):
     edge_lam = abs(float(random_theta[0])) / filt.norm_sq
     for lam in (0.37, np.pi / 2, edge_lam, np.nextafter(edge_lam, 0.0), np.inf):
         special = [0.0, -0.0, np.pi, -np.pi, np.nan, -np.nan, np.inf, -np.inf]
+        # Subnormals, whose scaled value is a rounding tie or underflows.
+        special += [5e-324, -5e-324, 1.5e-323, -1e-310, np.finfo(float).tiny]
         for edge in (lam * filt.norm_sq, -lam * filt.norm_sq):
             special += [np.nextafter(edge, -np.inf), edge, np.nextafter(edge, np.inf)]
         theta = np.concatenate([special, random_theta])

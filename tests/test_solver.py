@@ -19,6 +19,7 @@ from phasetv import (
     lambda_schedule,
     mask_band,
     mask_disc,
+    mask_random,
     mask_subsample3,
     prox_data,
     run_cppa,
@@ -726,3 +727,41 @@ def test_sweep_wraps_scattered_loss_in_blocks_of_32k_pixels(monkeypatch):
     monkeypatch.setattr(solver_mod, "_wrap_array", counted)
     run_cppa(x0, f, known, w, "noiseless", SolverConfig(max_sweeps=3))
     assert calls == [1 << 15] * 6
+
+
+def test_group_blocks_keep_the_bits(monkeypatch):
+    # Each group steps in blocks of solver._BLOCK entries, its loads before
+    # the first and its stores after the last.  Blocks of 7 and 61 entries
+    # cut through lattice rows and row-end entries, and must give the image
+    # and the energy trace of a run at the default size, bit for bit.
+    rng = np.random.default_rng(41)
+    all_on = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    ramp = gen_wrapped_ramp((49, 47), 0.2)
+    noisy = wrap(ramp + rng.normal(0.0, 0.3, ramp.shape))
+    lost = mask_random(ramp.shape, 0.2, 5)
+    w = Weights(alpha=(0.5, 0.5, 0.5, 0.5), beta=(0.25, 0.25), gamma=0.25)
+    cases = {
+        # Padded phases with row ends: neither 2 nor 3 divides 49 or 47.
+        "subsample3": (mask_subsample3(ramp.shape), ramp, all_on, "noiseless"),
+        "index forms": (lost, ramp, all_on, "noiseless"),
+        # The crop of this disc, rows and cols 12-51, keeps 18 dense forms.
+        "dense forms": (mask_disc((64, 64), 18.0), gen_wrapped_ramp((64, 64), 0.2), w,
+                        "noiseless"),
+        "noisy": (lost, noisy, w, "noisy"),
+    }
+    cfg = SolverConfig(max_sweeps=3)
+    for name, (known, truth, weights, kind) in cases.items():
+        f = np.where(known, truth, 0.0)
+        crop = known[solver_mod._box(known, kind == "noiseless")]
+        groups = [g for g in stencil_groups(crop.shape, crop, weights, kind) if len(g)]
+        form = {"index forms": "index", "dense forms": "keep"}.get(name)
+        assert form is None or any(getattr(g, form) is not None for g in groups), name
+        assert max(map(len, groups)) > 61, name
+        x0 = initialize(f, known, weights)
+        want = _bits(run_cppa(x0, f, known, weights, kind, cfg))
+        for block in (7, 61):
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "_BLOCK", block)
+                got = _bits(run_cppa(x0, f, known, weights, kind, cfg))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (name, block)
