@@ -279,17 +279,6 @@ def _bind(image: np.ndarray, group: StencilGroup, out, fixed=None):
     return cols, loads, stores
 
 
-def gather(image: np.ndarray, group: StencilGroup, out) -> list[np.ndarray]:
-    """The values of ``group`` in the 2-D ``image``, in stencil order, per
-    stencil position: a lattice form's windows (a dense form reads as its
-    whole lattice), an index form's columns in ``out`` (see :func:`_bind`).
-    """
-    cols, loads, _ = _bind(image, group, out)
-    for load in loads:
-        load()
-    return cols
-
-
 def _scratch(groups, longest=0) -> list[np.ndarray]:
     """Buffers for one group step or energy term of any of ``groups``: a
     column per stencil position of the index forms, the only groups that
@@ -298,8 +287,7 @@ def _scratch(groups, longest=0) -> list[np.ndarray]:
     form: its lattice) or ``longest``."""
     gathered = [g for g in groups if g.index is not None]
     width = max(map(len, gathered), default=0)
-    arity = max((1 if g.filt is None else g.filt.arity for g in gathered), default=0)
-    arity += any(g.filt is None for g in gathered)
+    arity = max((len(g.windows) for g in gathered), default=0) + any(g.filt is None for g in gathered)
     longest = max([longest, *(len(g) if g.keep is None else g.keep.size for g in groups)])
     return [np.empty(width) for _ in range(arity)] + [np.empty(longest), np.empty(longest)]
 
@@ -325,24 +313,36 @@ def energy_from_groups(x, f, groups) -> float:
             _check_image(a, name, shape, "the groups'")
     with np.errstate(invalid="ignore"):
         x, f = (_wrap_array(np.asarray(a, dtype=float)) for a in (x, f))
-    return _energy(x, f, groups, _scratch(groups))
+    scratch = _scratch(groups)
+    return _energy(_reads(x, f, groups, scratch), scratch)
 
 
-def _energy(x: np.ndarray, f: np.ndarray, groups, scratch, f_data=None) -> float:
-    """:func:`energy_from_groups` unchecked, with ``scratch`` from ``_scratch(groups)``
-    and, optionally, the data term's reference ``f_data``, gathered from ``f``."""
-    *columns, theta_buf, tmp_buf = scratch
+def _reads(x: np.ndarray, f: np.ndarray, groups, scratch):
+    """``(group, cols, loads)`` per group: its energy's reads in the 2-D ``x``,
+    bound by :func:`_bind` into the columns of ``scratch = _scratch(groups)``.
+    The data term's reference is read from ``f`` once, into the last column,
+    which no other bind uses; it leads the cols, whose tap sum is x - f."""
+    reads = [(g, *_bind(x, g, scratch[:-2])[:2]) for g in groups]
+    for g, cols, _ in reads:
+        if g.filt is None:
+            ref, loads, _ = _bind(f, g, scratch[-3:-2])
+            for load in loads:
+                load()
+            cols[:0] = ref
+    return reads
+
+
+def _energy(reads, scratch) -> float:
+    """:func:`energy_from_groups` unchecked, on ``reads`` from :func:`_reads`
+    and the last two buffers of their ``scratch``."""
+    theta_buf, tmp_buf = scratch[-2:]
     total = 0
     with np.errstate(invalid="ignore"):
-        for g in groups:
+        for g, cols, loads in reads:
+            for load in loads:
+                load()
             n = len(g)
             theta, tmp = theta_buf[:n], tmp_buf[:n]
-            cols = gather(x, g, columns)
-            if g.filt is None:
-                if f_data is None:
-                    f_data = gather(f, g, columns[-1:])[0]
-                # x - f as the first difference of (f, x).
-                cols = [f_data, *cols]
             sums = theta if g.keep is None else tmp_buf[:g.keep.size]
             _tap_sum(cols, sums.reshape(cols[0].shape))
             if g.keep is not None:
@@ -398,4 +398,5 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     box = _box(known, model_kind == "noiseless")
     x, f = np.ascontiguousarray(x[box]), f[box]
     groups = stencil_groups(x.shape, known[box], weights, model_kind)
-    return _energy(x, f, groups, _scratch(groups))
+    scratch = _scratch(groups)
+    return _energy(_reads(x, f, groups, scratch), scratch)

@@ -2,23 +2,26 @@
 
 One sweep applies the proximal mapping of every group of
 :func:`phasetv.model.stencil_groups` in label order, with the parameter
-``lambda_k = lambda0 / (k + 1)``.  Every step of a sweep is bound once, as
-one ``(weight, kernel, loads, stores)`` entry of one list: each block of
-each difference group's prox, then the image wrap (weight 0), then in
-noisy mode the data term's prox (weight 2).  For every entry the sweep
-runs the loads, ``kernel(lam * weight)`` and the stores, with no branch.
-In noiseless mode the last store of a difference group resets the known
-pixels it touches to the data.
+``lambda_k = lambda0 / (k + 1)``: each difference group's prox, then the
+image wrap (weight 0), then in noisy mode the data term's prox (weight
+2).  :func:`_plan` binds every step once, cut by one rule into blocks of
+at most ``_BLOCK`` = 2^15 entries of its columns (a group's, the flat
+crop for the wrap, the data term's reference and values), one
+``(weight, kernel, loads, stores)`` entry of one list per block.  The
+step's loads (a run's phase loads and row-end saves, an index form's
+gather) go on its first block, and its stores (the row-end restores, the
+projection, a run's copy-out, an index form's scatter) on its last.  For
+every entry the sweep runs the loads, ``kernel(lam * weight)`` and the
+stores, with no branch.  In noiseless mode the last store of a
+difference group resets the known pixels it touches to the data.
 
 In noiseless mode only the stencils that touch an unknown pixel carry
 energy and the known pixels never move, so :func:`run_cppa` solves the
-problem on the crop ``model._box`` of the image: the bounding box of the
-unknown pixels with a margin of 2, which holds every such stencil.  Its
-origin is rounded down to a multiple of 6, the lcm of the strides, so
-that each residue class of the crop is one of the image and keeps its
-label: the cycle order is part of the algorithm (Bacak, SIAM J. Optim.
-2014).  The run steps on a C-contiguous copy of the crop and writes it
-back; in noisy mode, or with no unknown pixel, the crop is the image.
+problem on the crop ``model._box`` of the image, which holds every such
+stencil and keeps the label of each residue class: the cycle order is
+part of the algorithm (Bacak, SIAM J. Optim. 2014).  The run steps on a
+C-contiguous copy of the crop and writes it back; in noisy mode, or with
+no unknown pixel, the crop is the image.
 
 Each maximal run of lattice difference groups (whole lattices or dense
 forms) of one stride (rs, cs) steps on the phases ``x[a::rs, b::cs]``.
@@ -39,14 +42,10 @@ in the same order as when every group is stepped on the image in index
 form, so the output is the same bit for bit.
 
 A group's prox makes 10-14 elementwise passes over its columns, which
-hold up to 131k entries each, so it steps them in blocks of at most
-``_BLOCK`` = 2^15 entries, one entry of the list per block: a block's
-columns and scratch stay in a core's L2 cache between passes, where a
-whole group's would stream from memory on every pass.  The group's loads
-(a run's phase loads and row-end saves, an index form's gather) go on its
-first block, and its stores (the row-end restores, the projection, a
-run's copy-out, an index form's scatter) on its last.  The prox of one
-entry reads no other entry, so the blocks keep every bit.
+hold up to 131k entries each: a block's columns and scratch stay in a
+core's L2 cache between passes, where a whole group's would stream from
+memory on every pass.  Every step is elementwise, so the blocks keep
+every bit.
 
 Finite in, finite throughout: :func:`run_cppa` checks that ``x0`` and
 ``f`` hold finite angles, the weights are finite and ``lambda0 <= 1e300``,
@@ -88,12 +87,12 @@ from itertools import groupby
 import numpy as np
 
 from .circle import _LAMBDA0_MAX, _check_number, _wrap_array
-from .model import Weights, _bind, _box, _check_problem, _energy, _scratch, gather, stencil_groups
+from .model import Weights, _bind, _box, _check_problem, _energy, _reads, _scratch, stencil_groups
 from .prox import _prox_data_into, shrink_columns
 
 
-# The most entries of a group one step passes through its kernel: a
-# first-difference block, two columns and two scratch buffers, is 1 MB and
+# The most entries of a step's columns one entry passes through its kernel:
+# a first-difference block, two columns and two scratch buffers, is 1 MB and
 # fits in a core's L2 cache; smaller blocks pay more in per-call overhead.
 _BLOCK = 1 << 15
 
@@ -205,6 +204,60 @@ def _bind_run(image: np.ndarray, run, pool: np.ndarray, fixed=None):
     return bound
 
 
+def _wrap(cols, lam, theta_buf, step_buf):
+    # theta_buf may be shorter than its block; the known pixels keep f's bits.
+    _wrap_array(cols[0], out=cols[0], tmp=step_buf)
+
+
+def _prox_data(cols, lam, theta_buf, step_buf):
+    # The columns the energy reads: the reference, then the values.
+    _prox_data_into(cols[1], cols[0], lam, a=theta_buf, b=step_buf)
+
+
+def _plan(x2d: np.ndarray, f: np.ndarray, known: np.ndarray, weights: Weights, model_kind: str):
+    """``(steps, energy)``: the steps of a sweep on the C-contiguous image
+    ``x2d``, bound once as the module docstring lays them out, and a
+    function that returns the energy of ``x2d``, for the checked problem
+    of the data ``f`` and the mask ``known`` of its shape."""
+    groups = stencil_groups(x2d.shape, known, weights, model_kind)
+    live = [g for g in groups if len(g)]
+    # The runs share one pool, and their columns are no longer than a phase.
+    shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
+    pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
+    # Its last buffer, the step scratch, is made after the binds below.
+    scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))[:-1]
+    *columns, theta_buf = scratch
+    fixed = (known, f) if model_kind == "noiseless" else None
+    bound = []
+    for stride, run in groupby(live, _stride):
+        run = list(run)
+        if stride is None:
+            bound += [_bind(x2d, g, columns, fixed) for g in run]
+        else:
+            bound += _bind_run(x2d, run, pool, fixed)
+    # The binds' temporaries can set the run's peak, so the step scratch
+    # comes after them.  It holds a block of any step, the wrap's included.
+    step_buf = np.empty(max(theta_buf.size, min(x2d.size, _BLOCK)))
+    scratch.append(step_buf)
+    reads = _reads(x2d, f, groups, scratch)
+    # The data term's weight is 2, as its closed form weighs the fidelity
+    # without the usual 1/2; it steps on the columns that the energy reads.
+    plan = [(g.weight, cols, partial(shrink_columns, filt=g.filt), loads, stores)
+            for g, (cols, loads, stores) in zip(live, bound) if g.filt is not None]
+    plan.append((0.0, [x2d.reshape(-1)], _wrap, (), ()))
+    if live and live[-1].filt is None:
+        plan.append((2.0, [c.reshape(-1) for c in reads[-1][1]], _prox_data, *bound[-1][1:]))
+    steps = []
+    for weight, cols, kernel, loads, stores in plan:
+        n = cols[0].size
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            block = partial(kernel, [c[lo:hi] for c in cols],
+                            theta_buf=theta_buf[:hi - lo], step_buf=step_buf[:hi - lo])
+            steps.append((weight, block, loads if lo == 0 else (), stores if hi == n else ()))
+    return steps, partial(_energy, reads, scratch)
+
+
 def run_cppa(
     x0,
     f,
@@ -240,65 +293,10 @@ def run_cppa(
     # The run steps on the crop, a view when it is the whole image.
     box = _box(known, noiseless)
     x2d = np.ascontiguousarray(image[box])
-    f, known = f[box], known[box]
-    groups = stencil_groups(x2d.shape, known, weights, model_kind)
-
-    x = x2d.reshape(-1)
-    # The data term, if any, is the last group; it steps after the wrap.
-    live = [g for g in groups if len(g)]
-    data = live.pop() if live and live[-1].filt is None else None
-    # The runs share one pool, and their columns are no longer than a phase.
-    shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
-    pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
-    # Its last buffer, the step scratch, is made after the binds below.
-    scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))[:-1]
-    *columns, theta_buf = scratch
-    fixed = (known, f) if noiseless else None
-    bound = []
-    for stride, run in groupby(live, _stride):
-        run = list(run)
-        if stride is None:
-            bound += [_bind(x2d, g, columns, fixed) for g in run]
-        else:
-            bound += _bind_run(x2d, run, pool, fixed)
-    # The binds' temporaries can set the run's peak, so the step scratch
-    # comes after them.  The sweep's wrap runs in blocks of it, which no
-    # step holds between steps, so it is at least _BLOCK pixels long or the
-    # crop: shorter blocks wrap slower.  Each group step holds its columns,
-    # the copies between them and x2d, and its scratch, cut to its block.
-    step_buf = np.empty(max(theta_buf.size, min(x.size, _BLOCK)))
-    scratch.append(step_buf)
-    steps = []
-    for g, (cols, loads, stores) in zip(live, bound):
-        n = cols[0].size
-        for lo in range(0, n, _BLOCK):
-            hi = min(lo + _BLOCK, n)
-            kernel = partial(shrink_columns, [c[lo:hi] for c in cols], filt=g.filt,
-                             theta_buf=theta_buf[:hi - lo], step_buf=step_buf[:hi - lo])
-            steps.append((g.weight, kernel, loads if lo == 0 else (), stores if hi == n else ()))
-
-    def wrap_iterate(_):
-        # The wrap keeps the known pixels, which hold f, bit for bit.
-        for lo in range(0, x.size, step_buf.size):
-            block = x[lo:lo + step_buf.size]
-            _wrap_array(block, out=block, tmp=step_buf[:block.size])
-
-    steps.append((0.0, wrap_iterate, (), ()))
-    # The data term's weight is 2, as its closed form weighs the fidelity
-    # without the usual 1/2.  With every pixel known it steps in place on
-    # x2d; else its reference, which the energy reads as well, takes the
-    # last gather column, which no group step uses.
-    f_data = None
-    if data is not None:
-        cols, loads, stores = _bind(x2d, data, columns)
-        f_data = gather(f, data, columns[-1:])[0]
-        n = f_data.size
-        a, b = (buf[:n].reshape(f_data.shape) for buf in (theta_buf, step_buf))
-        kernel = partial(_prox_data_into, cols[0], f_data, a=a, b=b)
-        steps.append((2.0, kernel, loads, stores))
+    steps, energy = _plan(x2d, f[box], known[box], weights, model_kind)
 
     def record(trace, sweep):
-        value = _energy(x2d, f, groups, scratch, f_data)
+        value = energy()
         if not np.isfinite(value):
             raise NumericalError(f"energy became non-finite at sweep {sweep}")
         trace.append((sweep, value))

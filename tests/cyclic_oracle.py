@@ -10,7 +10,7 @@ and ``oracle_prox_diff`` (grid search) are independent references, and
 ``oracle_prox_data`` is the data prox in its first, allocating form,
 against which the library's in-place kernel is checked bit for bit.
 ``gather`` reads a group of any form from an image through
-``StencilGroup.flat_index``, as ``model.gather`` reads the forms the
+``StencilGroup.flat_index``, as ``model._bind`` reads the forms the
 library binds, and ``scatter``, its inverse, writes the columns back, for
 the per-group reference sweeps.  ``FILTERS`` lists the three difference
 filters.

@@ -81,7 +81,7 @@ def test_noiseless_run_cppa_on_a_disc_holds_at_most_28_bytes_per_pixel():
     # Measured 26.9 B/px at 256^2 with a disc of radius 64 unknown, whose
     # groups step in dense form on the hole's crop: among it the image, 8,
     # and the crop's copy, phase pool and step buffers.  The sweep's wrap
-    # takes its blocks from the step scratch; a private wrap buffer took 29.1.
+    # takes its scratch from the step scratch; a private wrap buffer took 29.1.
     n = 256
     known = mask_disc((n, n), n / 4)
     f = np.where(known, gen_atan2(n), 0.0)
@@ -89,6 +89,34 @@ def test_noiseless_run_cppa_on_a_disc_holds_at_most_28_bytes_per_pixel():
     x0 = initialize(f, known, w)
     config = SolverConfig(max_sweeps=2)
     assert _peak(lambda: run_cppa(x0, f, known, w, "noiseless", config)) <= 28 * n * n
+
+
+def test_subsample3_run_cppa_holds_at_most_37_bytes_per_pixel():
+    # Measured 34.1 B/px at 512^2 with every family on, the crop the whole
+    # image and every group a whole lattice stepped in phase runs: among it
+    # the image and the phase pool, 8 each, and the projection's ids and
+    # values of the known ninth of each run's phases.
+    n = 512
+    known = mask_subsample3((n, n))
+    f = np.where(known, gen_atan2(n), 0.0)
+    w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    x0 = initialize(f, known, w)
+    config = SolverConfig(max_sweeps=2)
+    assert _peak(lambda: run_cppa(x0, f, known, w, "noiseless", config)) <= 37 * n * n
+
+
+def test_noiseless_run_cppa_on_scattered_loss_holds_at_most_125_bytes_per_pixel():
+    # Measured 118.3 B/px at 256^2 with 20% random loss: the crop is the
+    # whole image and every group takes the index form, whose projection
+    # holds one int64 id and one value per known pixel of its stencils,
+    # about 73 B/px over all groups.  A lower figure is open work.
+    n = 256
+    known = mask_random((n, n), 0.2, 0)
+    f = np.where(known, gen_wrapped_ramp((n, n), 4 * np.pi / (n - 1)), 0.0)
+    w = Weights(alpha=(0.5, 0.5, 0.5, 0.5), beta=(0.25, 0.25), gamma=0.25)
+    x0 = initialize(f, known, w)
+    config = SolverConfig(max_sweeps=2)
+    assert _peak(lambda: run_cppa(x0, f, known, w, "noiseless", config)) <= 125 * n * n
 
 
 def test_noisy_energy_holds_at_most_36_bytes_per_pixel():

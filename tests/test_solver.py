@@ -227,8 +227,12 @@ def test_energy_trace_recording():
 
 def test_wall_time_covers_the_setup(monkeypatch):
     # The clock starts at the top of run_cppa: a slow stencil_groups, part
-    # of the setup, shows in wall_time.
+    # of the setup, shows in wall_time.  The call count shows that the run
+    # looks the name up in solver, where the patch sits.
+    calls = []
+
     def slow_groups(*args):
+        calls.append(args)
         time.sleep(0.2)
         return stencil_groups(*args)
 
@@ -237,6 +241,7 @@ def test_wall_time_covers_the_setup(monkeypatch):
     w = Weights(alpha=(1, 1, 0, 0))
     monkeypatch.setattr(solver_mod, "stencil_groups", slow_groups)
     rep = run_cppa(f, f, known, w, "noiseless", SolverConfig(max_sweeps=1))
+    assert len(calls) == 1
     assert rep.wall_time >= 0.2
 
 
@@ -465,16 +470,24 @@ def test_run_on_the_crop_matches_the_run_on_the_whole_image(monkeypatch):
             cases.append((np.where(known, f, rng.uniform(-np.pi, np.pi, shape)), f, known, w))
     cfg = SolverConfig(max_sweeps=3)
     crops = 0
+    boxed = []
+
+    def whole_image(known, noiseless):
+        boxed.append(noiseless)
+        return np.s_[:, :]
+
     for x0, f, known, w in cases:
         box = solver_mod._box(known, True)
         crops += f[box].shape != f.shape
         cropped = run_cppa(x0, f, known, w, "noiseless", cfg)
         with monkeypatch.context() as m:
-            m.setattr(solver_mod, "_box", lambda known, noiseless: np.s_[:, :])
+            m.setattr(solver_mod, "_box", whole_image)
             whole = run_cppa(x0, f, known, w, "noiseless", cfg)
         for a, b in zip(_bits(cropped), _bits(whole)):
             assert np.array_equal(a, b), (f.shape, box)
     assert crops > len(cases) // 2
+    # Every patched run took its crop from the patch.
+    assert boxed == [True] * len(cases)
 
 
 def test_model_kind_and_mask_rejected():
@@ -730,10 +743,11 @@ def test_sweep_wraps_scattered_loss_in_blocks_of_32k_pixels(monkeypatch):
 
 
 def test_group_blocks_keep_the_bits(monkeypatch):
-    # Each group steps in blocks of solver._BLOCK entries, its loads before
-    # the first and its stores after the last.  Blocks of 7 and 61 entries
-    # cut through lattice rows and row-end entries, and must give the image
-    # and the energy trace of a run at the default size, bit for bit.
+    # Every step, the wrap and the data prox included, runs in blocks of
+    # solver._BLOCK entries, its loads before the first and its stores after
+    # the last.  Blocks of 7 and 61 entries cut through lattice rows and
+    # row-end entries, and must give the image and the energy trace of a
+    # run at the default size, bit for bit.
     rng = np.random.default_rng(41)
     all_on = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
     ramp = gen_wrapped_ramp((49, 47), 0.2)
@@ -765,3 +779,128 @@ def test_group_blocks_keep_the_bits(monkeypatch):
                 got = _bits(run_cppa(x0, f, known, weights, kind, cfg))
             for a, b in zip(got, want):
                 assert np.array_equal(a, b), (name, block)
+
+
+def _pointer(a):
+    return a.__array_interface__["data"][0]
+
+
+def _tiles(blocks, column):
+    """Whether the blocks, each a 1-D slice, are consecutive in memory and
+    hold, in order, the entries of ``column``, each once."""
+    return (all(b.flags.c_contiguous for b in blocks)
+            and all(_pointer(b) + b.nbytes == _pointer(c) for b, c in zip(blocks, blocks[1:]))
+            and np.array_equal(np.concatenate(blocks), column))
+
+
+def test_plan_cuts_every_step_by_one_block_rule(monkeypatch):
+    # The plan of a sweep cuts each group's prox, the wrap and the data
+    # prox into blocks of at most solver._BLOCK entries of the step's
+    # columns, in the cycle's order, with the step's loads on its first
+    # block and its stores on its last.  The wrap's blocks tile the crop
+    # and the data prox's the data term, each exactly once.  In 49 x 47
+    # neither 2 nor 3 divides the rows or the cols, so lattice columns
+    # hold row ends.
+    all_on = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    shape = (49, 47)
+    ramp = gen_wrapped_ramp(shape, 0.2)
+    noisy = wrap(ramp + np.random.default_rng(43).normal(0.0, 0.3, shape))
+    cases = {
+        "subsample3": (mask_subsample3(shape), ramp, "noiseless"),
+        "noisy loss": (mask_random(shape, 0.2, 5), noisy, "noisy"),
+        "denoising": (np.ones(shape, bool), noisy, "noisy"),
+    }
+    multiple = 0
+    for block in (solver_mod._BLOCK, 61):
+        for name, (known, truth, kind) in cases.items():
+            f = np.where(known, truth, 0.0)
+            x0 = initialize(f, known, all_on)
+            if kind == "noisy":
+                # Known values apart from the data, as after a sweep.
+                x0 = wrap(x0 + 0.5)
+            box = solver_mod._box(known, kind == "noiseless")
+            x2d = np.ascontiguousarray(x0[box])
+            f, known = f[box], known[box]
+            groups = [g for g in stencil_groups(x2d.shape, known, all_on, kind) if len(g)]
+            with monkeypatch.context() as m:
+                m.setattr(solver_mod, "_BLOCK", block)
+                steps, _ = solver_mod._plan(x2d, f, known, all_on, kind)
+            # Each step's weight and column length, in the cycle's order.
+            cycle = []
+            for g in groups[:-1] if kind == "noisy" else groups:
+                stride = solver_mod._stride(g)
+                if stride is None:
+                    cycle.append((g.weight, len(g)))
+                else:
+                    nr, nc = g.shape
+                    cycle.append((g.weight, (nr - 1) * solver_mod._phase_shape(x2d.shape, stride)[1] + nc))
+            cycle.append((0.0, x2d.size))
+            if kind == "noisy":
+                cycle.append((2.0, len(groups[-1])))
+            cut, taken = [], 0
+            for weight, length in cycle:
+                blocks, total = [], 0
+                while total < length:
+                    blocks.append(steps[taken])
+                    taken += 1
+                    total += blocks[-1][1].args[0][0].size
+                assert total == length, (name, block, weight)
+                for w, kernel, loads, stores in blocks:
+                    cols = kernel.args[0]
+                    assert w == weight and 0 < cols[0].size <= block, (name, block)
+                    assert all(c.shape == cols[0].shape for c in cols), (name, block)
+                assert all(b[2] == () for b in blocks[1:]), (name, block, weight)
+                assert all(b[3] == () for b in blocks[:-1]), (name, block, weight)
+                multiple += len(blocks) > 1
+                cut.append(blocks)
+            assert taken == len(steps), (name, block)
+            wrap_blocks = cut[len(groups) - (kind == "noisy")]
+            assert wrap_blocks[0][2] == wrap_blocks[-1][3] == (), (name, block)
+            assert _pointer(wrap_blocks[0][1].args[0][0]) == _pointer(x2d)
+            assert _tiles([b[1].args[0][0] for b in wrap_blocks], x2d.reshape(-1)), (name, block)
+            if kind == "noisy":
+                data, data_blocks = groups[-1], cut[-1]
+                # The loads gather the values; the reference is read at binding.
+                for load in data_blocks[0][2]:
+                    load()
+                reference, values = ([b[1].args[0][j] for b in data_blocks] for j in (0, 1))
+                ids = data.flat_index()[0]
+                assert _tiles(values, x2d.reshape(-1)[ids]), (name, block)
+                assert _tiles(reference, f.reshape(-1)[ids]), (name, block)
+    assert multiple > 0
+
+
+def test_run_ignores_the_memory_layout_of_its_inputs():
+    # Fortran-ordered, transposed and strided views of x0, f and the mask
+    # give the bits of C-ordered copies: with every pixel known the data
+    # prox steps in place on the image, with 20% loss on gathered columns,
+    # and the noiseless disc steps on its crop.
+    rng = np.random.default_rng(44)
+    shape = (23, 19)
+    w = Weights(alpha=(1, 1, 1, 1), beta=(1, 1), gamma=1.0)
+    ramp = gen_wrapped_ramp(shape, 0.3)
+    noisy = wrap(ramp + rng.normal(0.0, 0.3, shape))
+    cases = {
+        "denoising": (noisy, np.ones(shape, bool), "noisy"),
+        "noisy loss": (noisy, mask_random(shape, 0.2, 1), "noisy"),
+        "disc": (ramp, mask_disc(shape, 6.0), "noiseless"),
+    }
+
+    def strided(a):
+        wide = np.zeros((a.shape[0], 2 * a.shape[1]), a.dtype)
+        wide[:, ::2] = a
+        return wide[:, ::2]
+
+    layouts = {"fortran": np.asfortranarray, "transposed": lambda a: a.T.copy().T,
+               "strided": strided}
+    cfg = SolverConfig(max_sweeps=4)
+    for name, (truth, known, kind) in cases.items():
+        f = np.where(known, truth, 0.0)
+        x0 = initialize(f, known, w)
+        want = _bits(run_cppa(x0, f, known, w, kind, cfg))
+        for layout, make in layouts.items():
+            args = [make(a) for a in (x0, f, known)]
+            assert not any(a.flags.c_contiguous for a in args), layout
+            got = _bits(run_cppa(*args, w, kind, cfg))
+            for a, b in zip(got, want):
+                assert np.array_equal(a, b), (name, layout)
