@@ -56,26 +56,25 @@ def write_phase(path, x) -> None:
 
 def read_phase(path) -> np.ndarray:
     with open(_check_path(path), "rb") as handle:
-        data = handle.read()
-    end = data.find(b"\n")
-    if end < 0:
-        raise FormatError("malformed header: no newline in file")
-    parts = data[:end].split(b" ")
-    if len(parts) != 3 or parts[0] != _MAGIC or not all(p.isdigit() for p in parts[1:]):
-        raise FormatError(
-            f"malformed header {data[:end]!r} (bytes 0..{end})"
-        )
-    rows, cols = int(parts[1]), int(parts[2])
-    if rows < 1 or cols < 1:
-        raise FormatError(f"invalid dimensions {rows}x{cols} in header")
-    expected = rows * cols * 8
-    payload = data[end + 1 :]
-    if len(payload) != expected:
-        raise FormatError(
-            f"payload has {len(payload)} bytes, expected {expected}"
-            f" (payload starts at offset {end + 1})"
-        )
-    x = np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+        header = handle.readline()
+        end = len(header) - 1
+        if not header.endswith(b"\n"):
+            raise FormatError("malformed header: no newline in file")
+        parts = header[:end].split(b" ")
+        if len(parts) != 3 or parts[0] != _MAGIC or not all(p.isdigit() for p in parts[1:]):
+            raise FormatError(f"malformed header {header[:end]!r} (bytes 0..{end})")
+        rows, cols = int(parts[1]), int(parts[2])
+        if rows < 1 or cols < 1:
+            raise FormatError(f"invalid dimensions {rows}x{cols} in header")
+        expected = rows * cols * 8
+        try:
+            x = np.empty((rows, cols), dtype="<f8")
+        except (MemoryError, ValueError):  # larger than any payload that can be read
+            x = np.empty(0)
+        size = handle.readinto(x) + len(handle.read())
+    if size != expected:
+        raise FormatError(f"payload has {size} bytes, expected {expected}"
+                          f" (payload starts at offset {end + 1})")
     check_phase_values(x, "phase", error=FormatError)
     return x
 

@@ -279,17 +279,18 @@ def _bind(image: np.ndarray, group: StencilGroup, out, fixed=None):
     return cols, loads, stores
 
 
-def _scratch(groups, longest=0) -> list[np.ndarray]:
-    """Buffers for one group step or energy term of any of ``groups``: a
-    column per stencil position of the index forms, the only groups that
-    gather, and, last, one for the data term's reference if it is one, as
-    long as the longest of them, plus two as long as any group (a dense
-    form: its lattice) or ``longest``."""
+def _scratch(groups, longest=0):
+    """``(cols, ref, theta)``: buffers for one group step or energy term of
+    any of ``groups``: a column per stencil position of the index forms,
+    the only groups that gather, and one for the data term's reference if
+    it gathers (else None), as long as the longest of them, and theta, as
+    long as any group (a dense form: its lattice) or ``longest``."""
     gathered = [g for g in groups if g.index is not None]
     width = max(map(len, gathered), default=0)
-    arity = max((len(g.windows) for g in gathered), default=0) + any(g.filt is None for g in gathered)
+    cols = [np.empty(width) for _ in range(max((len(g.windows) for g in gathered), default=0))]
+    ref = np.empty(width) if any(g.filt is None for g in gathered) else None
     longest = max([longest, *(len(g) if g.keep is None else g.keep.size for g in groups)])
-    return [np.empty(width) for _ in range(arity)] + [np.empty(longest), np.empty(longest)]
+    return cols, ref, np.empty(longest)
 
 
 def energy_from_groups(x, f, groups) -> float:
@@ -313,29 +314,33 @@ def energy_from_groups(x, f, groups) -> float:
             _check_image(a, name, shape, "the groups'")
     with np.errstate(invalid="ignore"):
         x, f = (_wrap_array(np.asarray(a, dtype=float)) for a in (x, f))
-    scratch = _scratch(groups)
-    return _energy(_reads(x, f, groups, scratch), scratch)
+    return _sum_energy(x, f, groups)
 
 
-def _reads(x: np.ndarray, f: np.ndarray, groups, scratch):
+def _sum_energy(x, f, groups) -> float:
+    """:func:`energy_from_groups` unchecked, on images in [-pi, pi)."""
+    cols, ref, theta = _scratch(groups)
+    return _energy(_reads(x, f, groups, cols, ref), theta, np.empty(theta.size))
+
+
+def _reads(x: np.ndarray, f: np.ndarray, groups, cols, ref):
     """``(group, cols, loads)`` per group: its energy's reads in the 2-D ``x``,
-    bound by :func:`_bind` into the columns of ``scratch = _scratch(groups)``.
-    The data term's reference is read from ``f`` once, into the last column,
+    bound by :func:`_bind` into ``cols`` of ``_scratch(groups)``.  The data
+    term's reference is read from ``f`` once, into that scratch's ``ref``,
     which no other bind uses; it leads the cols, whose tap sum is x - f."""
-    reads = [(g, *_bind(x, g, scratch[:-2])[:2]) for g in groups]
-    for g, cols, _ in reads:
+    reads = [(g, *_bind(x, g, cols)[:2]) for g in groups]
+    for g, values, _ in reads:
         if g.filt is None:
-            ref, loads, _ = _bind(f, g, scratch[-3:-2])
+            reference, loads, _ = _bind(f, g, [ref])
             for load in loads:
                 load()
-            cols[:0] = ref
+            values[:0] = reference
     return reads
 
 
-def _energy(reads, scratch) -> float:
+def _energy(reads, theta_buf, tmp_buf) -> float:
     """:func:`energy_from_groups` unchecked, on ``reads`` from :func:`_reads`
-    and the last two buffers of their ``scratch``."""
-    theta_buf, tmp_buf = scratch[-2:]
+    and two buffers as long as the ``theta`` of their scratch."""
     total = 0
     with np.errstate(invalid="ignore"):
         for g, cols, loads in reads:
@@ -398,5 +403,4 @@ def energy(x, f, mask, weights: Weights, model_kind: str) -> float:
     box = _box(known, model_kind == "noiseless")
     x, f = np.ascontiguousarray(x[box]), f[box]
     groups = stencil_groups(x.shape, known[box], weights, model_kind)
-    scratch = _scratch(groups)
-    return _energy(_reads(x, f, groups, scratch), scratch)
+    return _sum_energy(x, f, groups)

@@ -93,27 +93,28 @@ def prox_diff_batch(values: np.ndarray, lam: float, filt: DifferenceFilter) -> n
     return _wrap_array(out, out=out)
 
 
-def _prox_data_into(g, f, lam: float, a, b) -> None:
+def _prox_data_into(cols, lam: float, theta_buf, step_buf) -> None:
     """Overwrite ``g`` with the data prox of ``g`` towards ``f``, in place.
 
-    ``g``, ``f`` and the scratch arrays ``a`` and ``b`` are float arrays of
-    one shape; ``lam`` is positive.  The operations and their roundings
-    are those of the closed form: ``d = g - f``, ``v = sign(d)`` zeroed
-    where ``|d| <= pi``, then ``wrap((g + lam*f) / (1 + lam) + c*v)`` with
-    ``c = 2*pi * lam/(1+lam)``.  ``c*v`` is formed as ``c * (|d| > pi) *
-    sign(d)``, whose zeroed entries may be -0.0; adding one leaves a -0.0
-    average at -0.0, where the closed form gives +0.0.
+    ``cols = [f, g]``, ``theta_buf`` and ``step_buf`` (scratch) are float
+    arrays of one shape; ``lam`` is positive.  The operations and their
+    roundings are those of the closed form: ``d = g - f``, ``v = sign(d)``
+    zeroed where ``|d| <= pi``, then ``wrap((g + lam*f) / (1 + lam) +
+    c*v)`` with ``c = 2*pi * lam/(1+lam)``.  ``c*v`` is formed as
+    ``copysign(c * (|d| > pi), d)``, whose zeroed entries may be -0.0;
+    adding one leaves a -0.0 average at -0.0, where the closed form gives
+    +0.0.
     """
-    d = np.subtract(g, f, out=a)
-    far = np.greater(np.abs(d, out=b), np.pi, out=b)
+    f, g = cols
+    d = np.subtract(g, f, out=theta_buf)
+    far = np.greater(np.abs(d, out=step_buf), np.pi, out=step_buf)
     far *= (lam / (1.0 + lam)) * TWO_PI
-    shift = np.sign(d, out=a)
-    shift *= far
-    avg = np.multiply(f, lam, out=b)
+    shift = np.copysign(far, d, out=theta_buf)
+    avg = np.multiply(f, lam, out=step_buf)
     avg += g
     avg /= 1.0 + lam
     avg += shift
-    _wrap_array(avg, out=g, tmp=a)
+    _wrap_array(avg, out=g, tmp=theta_buf)
 
 
 def prox_data(g, f, lam: float):
@@ -138,5 +139,5 @@ def prox_data(g, f, lam: float):
     out = np.array(g, dtype=float)
     f = np.asarray(f, dtype=float)
     if lam != 0.0:
-        _prox_data_into(out, f, lam, np.empty(out.shape), np.empty(out.shape))
+        _prox_data_into([f, out], lam, np.empty(out.shape), np.empty(out.shape))
     return _scalar(out)

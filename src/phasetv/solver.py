@@ -209,11 +209,6 @@ def _wrap(cols, lam, theta_buf, step_buf):
     _wrap_array(cols[0], out=cols[0], tmp=step_buf)
 
 
-def _prox_data(cols, lam, theta_buf, step_buf):
-    # The columns the energy reads: the reference, then the values.
-    _prox_data_into(cols[1], cols[0], lam, a=theta_buf, b=step_buf)
-
-
 def _plan(x2d: np.ndarray, f: np.ndarray, known: np.ndarray, weights: Weights, model_kind: str):
     """``(steps, energy)``: the steps of a sweep on the C-contiguous image
     ``x2d``, bound once as the module docstring lays them out, and a
@@ -224,9 +219,7 @@ def _plan(x2d: np.ndarray, f: np.ndarray, known: np.ndarray, weights: Weights, m
     # The runs share one pool, and their columns are no longer than a phase.
     shapes = [(math.prod(s), *_phase_shape(x2d.shape, s)) for s in set(map(_stride, live)) if s]
     pool = np.zeros(max((p * h * w for p, h, w in shapes), default=0))
-    # Its last buffer, the step scratch, is made after the binds below.
-    scratch = _scratch(groups, max((h * w for _, h, w in shapes), default=0))[:-1]
-    *columns, theta_buf = scratch
+    columns, ref, theta_buf = _scratch(groups, max((h * w for _, h, w in shapes), default=0))
     fixed = (known, f) if model_kind == "noiseless" else None
     bound = []
     for stride, run in groupby(live, _stride):
@@ -238,15 +231,14 @@ def _plan(x2d: np.ndarray, f: np.ndarray, known: np.ndarray, weights: Weights, m
     # The binds' temporaries can set the run's peak, so the step scratch
     # comes after them.  It holds a block of any step, the wrap's included.
     step_buf = np.empty(max(theta_buf.size, min(x2d.size, _BLOCK)))
-    scratch.append(step_buf)
-    reads = _reads(x2d, f, groups, scratch)
+    reads = _reads(x2d, f, groups, columns, ref)
     # The data term's weight is 2, as its closed form weighs the fidelity
     # without the usual 1/2; it steps on the columns that the energy reads.
     plan = [(g.weight, cols, partial(shrink_columns, filt=g.filt), loads, stores)
             for g, (cols, loads, stores) in zip(live, bound) if g.filt is not None]
     plan.append((0.0, [x2d.reshape(-1)], _wrap, (), ()))
     if live and live[-1].filt is None:
-        plan.append((2.0, [c.reshape(-1) for c in reads[-1][1]], _prox_data, *bound[-1][1:]))
+        plan.append((2.0, [c.reshape(-1) for c in reads[-1][1]], _prox_data_into, *bound[-1][1:]))
     steps = []
     for weight, cols, kernel, loads, stores in plan:
         n = cols[0].size
@@ -255,7 +247,7 @@ def _plan(x2d: np.ndarray, f: np.ndarray, known: np.ndarray, weights: Weights, m
             block = partial(kernel, [c[lo:hi] for c in cols],
                             theta_buf=theta_buf[:hi - lo], step_buf=step_buf[:hi - lo])
             steps.append((weight, block, loads if lo == 0 else (), stores if hi == n else ()))
-    return steps, partial(_energy, reads, scratch)
+    return steps, partial(_energy, reads, theta_buf, step_buf)
 
 
 def run_cppa(

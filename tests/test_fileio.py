@@ -85,9 +85,16 @@ def test_phase_read_errors(tmp_path):
     with pytest.raises(FormatError, match="header"):
         read_phase(path)
 
-    path.write_bytes(b"S1PHASE 2 2\n" + bytes(31))
-    with pytest.raises(FormatError, match="expected 32"):
-        read_phase(path)
+    for size in (31, 33):
+        path.write_bytes(b"S1PHASE 2 2\n" + bytes(size))
+        with pytest.raises(FormatError, match=f"has {size} bytes, expected 32"):
+            read_phase(path)
+
+    # Dimensions whose payload cannot be held fail on the payload's size.
+    for rows, cols in ((200000, 200000), (99999999999, 9999999999)):
+        path.write_bytes(b"S1PHASE %d %d\n" % (rows, cols) + bytes(4))
+        with pytest.raises(FormatError, match=f"has 4 bytes, expected {rows * cols * 8} "):
+            read_phase(path)
 
     path.write_bytes(b"S1PHASE 0 2\n")
     with pytest.raises(FormatError, match="dimensions"):

@@ -19,6 +19,7 @@ from phasetv import (
     mask_disc,
     mask_random,
     mask_subsample3,
+    read_phase,
     run_cppa,
     write_phase,
 )
@@ -60,6 +61,15 @@ def test_write_phase_holds_at_most_3_bytes_per_pixel(tmp_path):
     # array's own buffer.  The header joined to a bytes copy took 16.
     x = gen_atan2(512)
     assert _peak(lambda: write_phase(tmp_path / "x.phase", x)) <= 3 * x.size
+
+
+def test_read_phase_holds_at_most_12_bytes_per_pixel(tmp_path):
+    # Measured 10.0 B/px at 512^2: the result, 8, and the range check's
+    # boolean masks; the payload is read straight into the result.  Reading
+    # the file's bytes, slicing off the payload and copying it took 26.
+    path = tmp_path / "x.phase"
+    write_phase(path, gen_atan2(512))
+    assert _peak(lambda: read_phase(path)) <= 12 * 512 * 512
 
 
 def test_noisy_run_cppa_holds_at_most_55_bytes_per_pixel():

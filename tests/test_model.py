@@ -494,3 +494,24 @@ def test_energy_from_groups_rejects_another_image_shape():
             with pytest.raises(ValueError, match="^f has " + names):
                 energy_from_groups(f, np.zeros(bad), groups)
         assert energy_from_groups(f, f, groups) == 0.0
+
+
+@pytest.mark.parametrize("kind, fraction, form", [
+    ("noiseless", 0.2, "index"), ("noiseless", 0.5, "dense"),
+    ("noisy", 0.2, "data"), ("noisy", 0.0, "denoising"),
+])
+def test_scratch_buffers_share_no_memory(kind, fraction, form):
+    # The data term's reference is read once per run into ``ref``; a gather
+    # column or theta on the same memory would overwrite it.
+    n = 24
+    groups = stencil_groups((n, n), mask_random((n, n), fraction, 1), ALL_ON, kind)
+    forms = {"index": [g.index is not None and g.filt is not None for g in groups],
+             "dense": [g.keep is not None for g in groups],
+             "data": [g.index is not None and g.filt is None for g in groups],
+             "denoising": [g.filt is None and g.index is g.keep is None for g in groups]}
+    assert any(forms[form])
+    cols, ref, theta = model_mod._scratch(groups)
+    assert (ref is None) == (form != "data")
+    buffers = [*cols, theta] + ([] if ref is None else [ref])
+    for i, a in enumerate(buffers):
+        assert not any(np.shares_memory(a, b) for b in buffers[i + 1:])

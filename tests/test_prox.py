@@ -290,7 +290,7 @@ def test_prox_data_matches_allocating_formula_bitwise():
             n = g.size
             buf, a, b = np.empty(n + 5), np.empty(n + 3), np.empty(n + 7)
             buf[:n] = g
-            _prox_data_into(buf[:n], f, lam, a[:n], b[:n])
+            _prox_data_into([f, buf[:n]], lam, a[:n], b[:n])
             assert np.array_equal(_bits(buf[:n]), expected)
     for g, f, lam in ((0.4, 0.2, 1.0), (3.0, -3.0, 1.0), (np.pi / 2, -np.pi / 2, 0.25)):
         assert _bits(prox_data(g, f, lam)) == _bits(oracle_prox_data(g, f, lam))
