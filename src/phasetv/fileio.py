@@ -1,9 +1,9 @@
 """Phase image files, mask files, and visualization emitters.
 
-The phase container is deliberately minimal: an ASCII header line
-``S1PHASE <rows> <cols>`` followed by the row-major float64
-little-endian payload.  Masks are binary PGM with 0 marking unknown and
-255 marking known pixels.
+A phase file is an ASCII header line ``S1PHASE <rows> <cols>`` and the
+row-major little-endian float64 payload; a mask is binary PGM, 0 marking
+unknown and 255 known pixels.  Each is written and read as its header,
+then the array's own buffer, which a reader fills straight from the stream.
 """
 
 from __future__ import annotations
@@ -54,7 +54,23 @@ def write_phase(path, x) -> None:
     write_bytes_atomic(path, header, np.ascontiguousarray(x, dtype="<f8"))
 
 
+def _payload(handle, shape, dtype, name: str, offset: int) -> np.ndarray:
+    """A new ``shape`` array of ``dtype`` filled from the rest of ``handle``; ``FormatError``,
+    naming ``name`` and the ``offset`` of its start, unless that is exactly its bytes."""
+    expected = shape[0] * shape[1] * np.dtype(dtype).itemsize
+    try:
+        x = np.empty(shape, dtype)
+    except (MemoryError, ValueError):  # larger than any payload that can be read
+        x = np.empty(0, dtype)
+    size = handle.readinto(x) + len(handle.read())
+    if size != expected:
+        raise FormatError(f"{name} has {size} bytes, expected {expected}"
+                          f" ({name.split()[-1]} starts at offset {offset})")
+    return x
+
+
 def read_phase(path) -> np.ndarray:
+    """Read a phase image, a float64 array checked as :func:`write_phase` checks one."""
     with open(_check_path(path), "rb") as handle:
         header = handle.readline()
         end = len(header) - 1
@@ -66,15 +82,7 @@ def read_phase(path) -> np.ndarray:
         rows, cols = int(parts[1]), int(parts[2])
         if rows < 1 or cols < 1:
             raise FormatError(f"invalid dimensions {rows}x{cols} in header")
-        expected = rows * cols * 8
-        try:
-            x = np.empty((rows, cols), dtype="<f8")
-        except (MemoryError, ValueError):  # larger than any payload that can be read
-            x = np.empty(0)
-        size = handle.readinto(x) + len(handle.read())
-    if size != expected:
-        raise FormatError(f"payload has {size} bytes, expected {expected}"
-                          f" (payload starts at offset {end + 1})")
+        x = _payload(handle, (rows, cols), "<f8", "payload", end + 1)
     check_phase_values(x, "phase", error=FormatError)
     return x
 
@@ -82,67 +90,59 @@ def read_phase(path) -> np.ndarray:
 def write_mask(path, known) -> None:
     """Write a mask as binary PGM: 255 where known, 0 where unknown."""
     known = _check_image(known, "known", kinds="b")
-    write_bytes_atomic(path, _netpbm(b"P5", np.where(known, 255, 0).astype(np.uint8)))
+    write_bytes_atomic(path, *_netpbm(b"P5", known * np.uint8(255)))
 
 
-def _netpbm(magic: bytes, raster: np.ndarray) -> bytes:
-    """Binary PGM (``P5``) or PPM (``P6``) of an 8-bit raster whose first
-    two axes are rows and columns."""
-    return b"%s\n%d %d\n255\n" % (magic, raster.shape[1], raster.shape[0]) + raster.tobytes()
+def _netpbm(magic: bytes, raster: np.ndarray) -> tuple:
+    """The header of a binary PGM (``P5``) or PPM (``P6``) of an 8-bit raster whose
+    first two axes are rows and columns, and the raster in C order."""
+    header = b"%s\n%d %d\n255\n" % (magic, raster.shape[1], raster.shape[0])
+    return header, np.ascontiguousarray(raster)
 
 
-def _pgm_tokens(data: bytes, count: int):
-    tokens = []
-    i = 0
-    while len(tokens) < count:
-        if i >= len(data):
-            raise FormatError(f"mask header ended early at offset {i}")
-        b = data[i : i + 1]
-        if b in b"# \t\r\n":
-            if b == b"#":
-                j = data.find(b"\n", i)
-                i = len(data) if j < 0 else j
-            i += 1
-            continue
-        j = i
-        while j < len(data) and data[j : j + 1] not in _WS:
-            j += 1
-        tokens.append(data[i:j])
-        i = j
-    return tokens, i
+def _pgm_header(handle):
+    """The four fields of the PGM header at the start of ``handle`` (``#`` before a field
+    starts a comment to the line's end), the offset past the last and the byte read after it."""
+    fields, pos = [], 0
+    while len(fields) < 4:
+        b = handle.read(1)
+        if not b:
+            raise FormatError(f"mask header ended early at offset {pos}")
+        pos += 1
+        if b == b"#":
+            pos += len(handle.readline())
+        elif b not in _WS:
+            field = b
+            while (b := handle.read(1)) not in _WS:  # b"" is in _WS: the file ended
+                field += b
+            fields.append(field)
+            end = pos - 1 + len(field)
+            pos = end + len(b)
+    return fields, end, b
 
 
 def read_mask(path) -> np.ndarray:
     """Read a PGM mask; returns boolean (True = known)."""
     with open(_check_path(path), "rb") as handle:
-        data = handle.read()
-    tokens, pos = _pgm_tokens(data, 4)
-    if tokens[0] != b"P5":
-        raise FormatError(f"mask is not binary PGM (magic {tokens[0]!r}, expected P5)")
-    for field in tokens[1:]:
-        if not field.isdigit():
-            raise FormatError(f"PGM header field {field!r} is not a decimal number")
-    cols, rows, maxval = map(int, tokens[1:])
-    if maxval != 255:
-        raise FormatError(f"mask maxval must be 255, found {maxval}")
-    if rows < 1 or cols < 1:
-        raise FormatError(f"invalid mask dimensions {rows}x{cols}")
-    if data[pos : pos + 1] not in (b" ", b"\t", b"\r", b"\n"):
-        raise FormatError(f"missing whitespace after maxval at offset {pos}")
-    raster = data[pos + 1 :]
-    if len(raster) != rows * cols:
-        raise FormatError(
-            f"mask raster has {len(raster)} bytes, expected {rows * cols}"
-            f" (raster starts at offset {pos + 1})"
-        )
-    values = np.frombuffer(raster, dtype=np.uint8).reshape(rows, cols)
-    bad = (values != 0) & (values != 255)
-    if bad.any():
-        r, c = np.argwhere(bad)[0]
-        raise FormatError(
-            f"mask value {values[r, c]} at pixel ({r}, {c}) is neither 0 nor 255"
-        )
-    return values == 255
+        (magic, *fields), end, after = _pgm_header(handle)
+        if magic != b"P5":
+            raise FormatError(f"mask is not binary PGM (magic {magic!r}, expected P5)")
+        for field in fields:
+            if not field.isdigit():
+                raise FormatError(f"PGM header field {field!r} is not a decimal number")
+        cols, rows, maxval = map(int, fields)
+        if maxval != 255:
+            raise FormatError(f"mask maxval must be 255, found {maxval}")
+        if rows < 1 or cols < 1:
+            raise FormatError(f"invalid mask dimensions {rows}x{cols}")
+        if not after:
+            raise FormatError(f"missing whitespace after maxval at offset {end}")
+        raster = _payload(handle, (rows, cols), np.uint8, "mask raster", end + 1)
+    known = raster == 255
+    if np.count_nonzero(raster) != np.count_nonzero(known):
+        r, c = np.argwhere((raster != 0) & ~known)[0]
+        raise FormatError(f"mask value {raster[r, c]} at pixel ({r}, {c}) is neither 0 nor 255")
+    return known
 
 
 def render_gray(x) -> bytes:
@@ -151,7 +151,7 @@ def render_gray(x) -> bytes:
     x = check_phase_image(x, "x", error=FormatError)
     levels = np.floor((x + np.pi) / TWO_PI * 256.0)
     levels = np.clip(levels, 0, 255).astype(np.uint8)
-    return _netpbm(b"P5", levels)
+    return b"".join(_netpbm(b"P5", levels))
 
 
 def render_hue(x) -> bytes:
@@ -169,4 +169,4 @@ def render_hue(x) -> bytes:
     raster = np.empty(x.shape + (3,), np.uint8)
     for channel, choices in enumerate(layout):
         np.choose(sextant, choices, out=raster[..., channel])
-    return _netpbm(b"P6", raster)
+    return b"".join(_netpbm(b"P6", raster))

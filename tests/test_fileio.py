@@ -19,10 +19,11 @@ from phasetv.fileio import write_bytes_atomic
 def test_phase_round_trip(tmp_path):
     rng = np.random.default_rng(50)
     path = tmp_path / "img.phase"
-    for shape in ((1, 1), (3, 7), (32, 16)):
+    for shape in ((1, 1), (1, 7), (7, 1), (3, 7), (32, 16)):
         x = rng.uniform(-np.pi, np.pi, shape)
+        x.flat[: min(3, x.size)] = (-0.0, -np.pi, np.nextafter(np.pi, 0.0))[: min(3, x.size)]
         write_phase(path, x)
-        assert np.array_equal(read_phase(path), x)
+        assert read_phase(path).tobytes() == x.tobytes()
 
 
 def test_phase_file_layout(tmp_path):
@@ -95,6 +96,10 @@ def test_phase_read_errors(tmp_path):
         path.write_bytes(b"S1PHASE %d %d\n" % (rows, cols) + bytes(4))
         with pytest.raises(FormatError, match=f"has 4 bytes, expected {rows * cols * 8} "):
             read_phase(path)
+    path.write_bytes(b"S1PHASE 2 2\n" + bytes(32) + b"\n")
+    with pytest.raises(FormatError, match=r"has 33 bytes, expected 32 "
+                                          r"\(payload starts at offset 12\)"):
+        read_phase(path)
 
     path.write_bytes(b"S1PHASE 0 2\n")
     with pytest.raises(FormatError, match="dimensions"):
@@ -116,6 +121,20 @@ def test_mask_round_trip(tmp_path):
     assert blob.startswith(b"P5\n4 11\n255\n")
 
 
+def test_mask_file_is_the_header_and_the_c_order_raster(tmp_path):
+    # write_mask writes a uint8 raster, 255 where known, after the header,
+    # whatever the layout of the mask: bool * np.uint8(255) stays uint8.
+    known = np.random.default_rng(53).random((7, 5)) < 0.5
+    masks = [known, np.asfortranarray(known), known.T, known[::2, ::-1], np.ones((1, 1), bool),
+             np.zeros((1, 7), bool), known[:, :1]]
+    for i, mask in enumerate(masks):
+        path = tmp_path / f"m{i}.pgm"
+        write_mask(path, mask)
+        header = b"P5\n%d %d\n255\n" % (mask.shape[1], mask.shape[0])
+        assert path.read_bytes() == header + bytes(np.where(mask, 255, 0).astype(np.uint8).flat)
+        assert np.array_equal(read_mask(path), mask)
+
+
 def test_mask_parser_accepts_comments(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(b"P5 # magic\n# a comment line\n2 1\n255\n" + bytes([0, 255]))
@@ -135,8 +154,21 @@ def test_mask_read_errors(tmp_path):
         with pytest.raises(FormatError, match="maxval"):
             read_mask(path)
 
-    path.write_bytes(b"P5\n2 2\n255\n" + bytes(3))
-    with pytest.raises(FormatError, match="expected 4"):
+    for size in (3, 5):
+        path.write_bytes(b"P5\n2 2\n255\n" + bytes(size))
+        with pytest.raises(FormatError, match=f"mask raster has {size} bytes, expected 4 "
+                                              r"\(raster starts at offset 11\)"):
+            read_mask(path)
+
+    # Dimensions whose raster cannot be held fail on the raster's size.
+    for rows, cols in ((200000, 200000), (99999999999, 9999999999)):
+        path.write_bytes(b"P5\n%d %d\n255\n" % (cols, rows) + bytes(4))
+        with pytest.raises(FormatError, match=f"has 4 bytes, expected {rows * cols} "):
+            read_mask(path)
+
+    # The one whitespace byte after maxval is missing when the file ends there.
+    path.write_bytes(b"P5\n2 1\n255")
+    with pytest.raises(FormatError, match="missing whitespace after maxval at offset 10$"):
         read_mask(path)
 
     path.write_bytes(b"P5\n2 1\n255\n" + bytes([0, 7]))
@@ -144,7 +176,12 @@ def test_mask_read_errors(tmp_path):
         read_mask(path)
 
     path.write_bytes(b"P5\n2")
-    with pytest.raises(FormatError, match="ended early"):
+    with pytest.raises(FormatError, match="ended early at offset 4$"):
+        read_mask(path)
+
+    # A comment that runs to the end of the file ends the header at the file's end.
+    path.write_bytes(b"P5\n2 1\n# no newline")
+    with pytest.raises(FormatError, match="ended early at offset 19$"):
         read_mask(path)
 
     # int() would parse each of these; a field is ASCII digits only, as in
@@ -165,6 +202,10 @@ def test_render_gray_levels():
     assert render_gray(np.full((1, 1), -np.pi))[-1] == 0
     assert render_gray(np.full((1, 1), np.pi - 1e-12))[-1] == 255
     assert render_gray(np.zeros((1, 1))) == render_gray(np.zeros((1, 1)))
+    x = np.random.default_rng(58).uniform(-np.pi, np.pi, (5, 3))
+    for img in (np.asfortranarray(x), x[::-1, ::2], x.T):
+        assert render_gray(img) == render_gray(np.ascontiguousarray(img))
+        assert render_hue(img) == render_hue(np.ascontiguousarray(img))
 
 
 def _hue_by_floats(x):
@@ -208,6 +249,17 @@ def test_atomic_write_replaces_and_leaves_no_temp(tmp_path):
     assert path.read_bytes() == b"second"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+def test_atomic_write_removes_its_temp_file_when_the_replace_fails(tmp_path):
+    # os.replace cannot put a file over a directory: the error reaches the
+    # caller, and the temp file written before it is gone.
+    target = tmp_path / "taken"
+    target.mkdir()
+    with pytest.raises(OSError):
+        write_bytes_atomic(target, b"payload")
+    assert target.is_dir()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")

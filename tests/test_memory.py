@@ -19,8 +19,10 @@ from phasetv import (
     mask_disc,
     mask_random,
     mask_subsample3,
+    read_mask,
     read_phase,
     run_cppa,
+    write_mask,
     write_phase,
 )
 
@@ -70,6 +72,23 @@ def test_read_phase_holds_at_most_12_bytes_per_pixel(tmp_path):
     path = tmp_path / "x.phase"
     write_phase(path, gen_atan2(512))
     assert _peak(lambda: read_phase(path)) <= 12 * 512 * 512
+
+
+def test_write_mask_holds_at_most_1_5_bytes_per_pixel(tmp_path):
+    # Measured 1.04 B/px at 512^2: the uint8 raster, written as its own
+    # buffer after the header.  An int64 np.where, its uint8 copy and the
+    # header joined to tobytes() took 9.0.
+    known = mask_subsample3((512, 512))
+    assert _peak(lambda: write_mask(tmp_path / "m.pgm", known)) <= 1.5 * known.size
+
+
+def test_read_mask_holds_at_most_2_5_bytes_per_pixel(tmp_path):
+    # Measured 2.0 B/px at 512^2: the raster, read straight into its array
+    # after the header, and the result.  Reading the file's bytes, slicing
+    # off the raster and masking its bad values took 4.0.
+    path = tmp_path / "m.pgm"
+    write_mask(path, mask_subsample3((512, 512)))
+    assert _peak(lambda: read_mask(path)) <= 2.5 * 512 * 512
 
 
 def test_noisy_run_cppa_holds_at_most_55_bytes_per_pixel():
